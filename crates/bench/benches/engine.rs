@@ -15,7 +15,7 @@ use facepoint_truth::TruthTable;
 use std::hint::black_box;
 
 fn engine_classes(fns: &[TruthTable], workers: usize, cache_capacity: usize) -> usize {
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             workers,
             cache_capacity,
@@ -90,7 +90,7 @@ fn bench_journaled_ingest(c: &mut Criterion) {
                     }
                 });
                 let dir = persist.as_ref().map(|p| p.dir.clone());
-                let mut engine = Engine::builder()
+                let engine = Engine::builder()
                     .config(EngineConfig {
                         workers: 4,
                         persist,
@@ -113,9 +113,7 @@ fn bench_journaled_ingest(c: &mut Criterion) {
 fn bench_ingest_contention(c: &mut Criterion) {
     // The work-stealing pool under deliberate queue pressure:
     // one-function chunks put a queue operation on every submission,
-    // so this measures the ingest path itself (the trajectory bin's
-    // contention sweep records the same shape against the retired
-    // mutex-queue baseline in BENCH_engine.json).
+    // so this measures the ingest path itself.
     let mut group = c.benchmark_group("engine_ingest_contention");
     group.sample_size(10);
     let fns = facepoint_bench::balanced_workload(8, 2048, 0xC0E);
@@ -123,7 +121,7 @@ fn bench_ingest_contention(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("steal-pool", workers), &fns, |b, fns| {
             b.iter(|| {
-                let mut engine = Engine::builder()
+                let engine = Engine::builder()
                     .config(EngineConfig {
                         workers,
                         chunk_size: 1,

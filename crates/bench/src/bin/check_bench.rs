@@ -5,8 +5,7 @@
 //! cargo run --release -p facepoint-bench --bin check_bench -- \
 //!     --dir CANDIDATE_DIR [--baseline BASELINE_DIR] \
 //!     [--max-regress 0.25] [--min-journal-ratio 0.6] \
-//!     [--min-queue-speedup 1.0] [--min-sig-speedup 2.3] \
-//!     [--min-certified-ratio 0.25] \
+//!     [--min-sig-speedup 2.3] [--min-certified-ratio 0.25] \
 //!     [--analysis-report PATH [--analysis-only]]
 //! ```
 //!
@@ -28,14 +27,6 @@
 //!   same workload), and the ratio must meet `--min-certified-ratio`
 //!   (default 0.25 — the exact-resolution acceptance floor; pass `0`
 //!   to validate schema only);
-//! * contention sweep: `BENCH_engine.json` must carry the `contention`
-//!   object (work-stealing pool vs the retired mutex-queue baseline)
-//!   with rows for 1, 2, 4 and 8 workers, each recording positive
-//!   `fns_per_sec`, `mutex_fns_per_sec` and `queue_speedup`; the
-//!   8-worker row must meet `--min-queue-speedup` (default 1.0;
-//!   pass `0` to validate schema only — CI does, because a quick-mode
-//!   A/B of oversubscribed thread pools on a small shared runner is
-//!   scheduling noise; gate with an explicit floor on real hardware);
 //! * regression: with `--baseline`, rows sharing an `n` are compared
 //!   and the candidate must reach `1 - max_regress` of the committed
 //!   throughput (default: fail on >25% regression);
@@ -197,75 +188,6 @@ fn load(dir: &Path, schema: &Schema, check: &mut Checker) -> BTreeMap<u64, f64> 
     by_n
 }
 
-/// Validates `BENCH_engine.json`'s `contention` object: the
-/// steal-vs-mutex sweep must cover 1/2/4/8 workers with positive
-/// numbers, and the 8-worker speedup must meet the floor.
-fn check_contention(doc: &Json, min_queue_speedup: f64, check: &mut Checker) {
-    let Some(con) = doc.get("contention") else {
-        check.fail("BENCH_engine.json: missing \"contention\" sweep".to_string());
-        return;
-    };
-    for field in ["n", "functions", "chunk_size"] {
-        if con.get(field).and_then(Json::as_f64).is_none() {
-            check.fail(format!(
-                "BENCH_engine.json contention: missing number \"{field}\""
-            ));
-        }
-    }
-    if con.get("workload").and_then(Json::as_str).is_none() {
-        check.fail("BENCH_engine.json contention: missing string \"workload\"".to_string());
-    }
-    let Some(rows) = con.get("results").and_then(Json::as_arr) else {
-        check.fail("BENCH_engine.json contention: missing \"results\" array".to_string());
-        return;
-    };
-    let mut seen: Vec<u64> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        for field in [
-            "workers",
-            "fns_per_sec",
-            "mutex_fns_per_sec",
-            "queue_speedup",
-        ] {
-            match row.get(field).and_then(Json::as_f64) {
-                Some(v) if v > 0.0 => {}
-                Some(v) => check.fail(format!(
-                    "BENCH_engine.json contention[{i}]: \"{field}\" = {v} is not positive"
-                )),
-                None => check.fail(format!(
-                    "BENCH_engine.json contention[{i}]: missing number \"{field}\""
-                )),
-            }
-        }
-        let workers = row.get("workers").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        seen.push(workers);
-        if workers == 8 {
-            let speedup = row
-                .get("queue_speedup")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            if speedup < min_queue_speedup {
-                check.fail(format!(
-                    "BENCH_engine.json contention: 8-worker queue_speedup \
-                     {speedup:.3} below the {min_queue_speedup} floor"
-                ));
-            } else {
-                println!(
-                    "BENCH_engine.json contention: 8 workers at {speedup:.2}x \
-                     over the mutex queue (floor {min_queue_speedup})"
-                );
-            }
-        }
-    }
-    for expected in [1u64, 2, 4, 8] {
-        if !seen.contains(&expected) {
-            check.fail(format!(
-                "BENCH_engine.json contention: no row for {expected} workers"
-            ));
-        }
-    }
-}
-
 /// Validates a `facepoint-analysis --report` JSON file (schema
 /// version 1): shape, per-entry field types, and `counts` agreeing
 /// with the `findings` array.
@@ -388,7 +310,6 @@ fn main() {
     let baseline = arg_value(&args, "--baseline");
     let max_regress: f64 = arg_num(&args, "--max-regress", 0.25);
     let min_journal_ratio: f64 = arg_num(&args, "--min-journal-ratio", 0.6);
-    let min_queue_speedup: f64 = arg_num(&args, "--min-queue-speedup", 1.0);
     let min_sig_speedup: f64 = arg_num(&args, "--min-sig-speedup", 2.3);
     let min_certified_ratio: f64 = arg_num(&args, "--min-certified-ratio", 0.25);
     let analysis_report = arg_value(&args, "--analysis-report");
@@ -553,7 +474,6 @@ fn main() {
                     ));
                 }
             }
-            check_contention(&doc, min_queue_speedup, &mut check);
         }
     }
 

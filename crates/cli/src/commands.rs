@@ -175,7 +175,7 @@ fn engine_classify(
         .cache_capacity(1 << 16)
         .resolution(resolution)
         .build();
-    let mut engine = match persist {
+    let engine = match persist {
         Some(dir) => Engine::builder()
             .config(cfg)
             .persist(dir)

@@ -23,14 +23,14 @@ use std::time::Instant;
 
 /// A chunk of work: each entry carries its own submission number.
 /// Explicit numbering (rather than a base + offset) is required because
-/// the dedup fast path consumes submission numbers without entering the
-/// buffer, leaving buffered chunks with non-contiguous sequences.
+/// the dedup fast path resolves a chunk's cache hits at submission,
+/// leaving its queued misses with non-contiguous sequences.
 struct Job {
     entries: Vec<(u64, TruthTable)>,
-    /// When the chunk started accumulating — the earliest submission
-    /// it carries. The `engine_chunk_classify_nanos` histogram records
-    /// `submitted_at → classified` per chunk, so queue wait (and any
-    /// time a partial chunk sat buffered) is part of the latency, not
+    /// When the submitting call started filling the chunk — the
+    /// earliest submission it carries. The
+    /// `engine_chunk_classify_nanos` histogram records `submitted_at →
+    /// classified` per chunk, so queue wait is part of the latency, not
     /// hidden from it.
     submitted_at: Instant,
 }
@@ -86,7 +86,8 @@ pub struct CanonAnswer {
 
 /// A read-only canonicalization endpoint detached from the [`Engine`]
 /// object — see [`Engine::canon_handle`]. Cloneable; every clone keeps
-/// the underlying store and resolver alive.
+/// the underlying store and resolver alive, past [`Engine::finish`]
+/// included.
 #[derive(Clone)]
 pub struct CanonHandle {
     store: Arc<ShardedStore>,
@@ -173,9 +174,6 @@ struct OrderSink {
 
 #[derive(Debug, Default)]
 struct OrderState {
-    /// Set by [`OrderSink::seal`]; late appliers (a `SubmitHandle`
-    /// racing `finish`) become no-ops instead of corrupting the result.
-    sealed: bool,
     /// key → dense internal id, in first-applied order (remapped to
     /// first-*submitted* order when the result is assembled).
     ids: HashMap<u128, u32>,
@@ -202,12 +200,7 @@ impl OrderSink {
             return;
         }
         let mut state = self.inner.lock().expect("order sink poisoned");
-        if state.sealed {
-            return;
-        }
-        let OrderState {
-            ids, keys, labels, ..
-        } = &mut *state;
+        let OrderState { ids, keys, labels } = &mut *state;
         for &(seq, key) in entries {
             let id = *ids.entry(key).or_insert_with(|| {
                 let id = u32::try_from(keys.len()).expect("more than u32::MAX classes");
@@ -223,13 +216,9 @@ impl OrderSink {
         }
     }
 
-    /// Takes the accumulated state and marks the sink sealed: anything
-    /// applied afterwards is dropped.
-    fn seal(&self) -> OrderState {
-        let mut state = self.inner.lock().expect("order sink poisoned");
-        let taken = std::mem::take(&mut *state);
-        state.sealed = true;
-        taken
+    /// Takes the accumulated state.
+    fn take(&self) -> OrderState {
+        std::mem::take(&mut *self.inner.lock().expect("order sink poisoned"))
     }
 }
 
@@ -239,13 +228,19 @@ impl OrderSink {
 ///
 /// 1. create ([`Engine::new`] / [`Engine::builder`]) — workers
 ///    start idle;
-/// 2. feed it ([`Engine::submit`], [`Engine::submit_batch`], or
-///    concurrently through [`SubmitHandle`]s) — keys are computed and
-///    classes recorded concurrently with ingestion;
+/// 2. feed it ([`Engine::submit`], [`Engine::submit_batch`]) — keys are
+///    computed and classes recorded concurrently with ingestion;
 /// 3. observe mid-stream ([`Engine::snapshot`], [`Engine::top_classes`])
 ///    — no pause, no drain;
 /// 4. [`Engine::finish`] — drains the queue, joins the workers and
 ///    returns the input-ordered [`Classification`] plus [`EngineStats`].
+///
+/// Every method but `finish` takes `&self` and the engine is
+/// `Send + Sync`, so any number of threads share one engine by
+/// reference (or through an `Arc`) and submit, flush and observe
+/// concurrently — the service front-end feeds it from every connection
+/// thread with no lock around it. `finish` consumes the engine, so no
+/// submission can race it.
 ///
 /// Dropping an unfinished engine shuts the workers down without
 /// assembling a result.
@@ -259,39 +254,25 @@ pub struct Engine {
     pool: Arc<StealPool<Job>>,
     order: Arc<OrderSink>,
     handles: Vec<JoinHandle<()>>,
-    /// Chunk being accumulated by `submit` calls, with each function's
-    /// submission number (dedup fast-path hits leave gaps).
-    pending: Vec<(u64, TruthTable)>,
-    /// Next submission number — shared with every [`SubmitHandle`], so
-    /// submission order is the global allocation order of this counter.
+    /// Next submission number: submission order is the global
+    /// allocation order of this counter, across every producer thread.
     next_seq: Arc<AtomicU64>,
-    /// Functions that skipped the queue via the dedup fast path
-    /// (engine-side and handle-side).
+    /// Functions that skipped the queue via the dedup fast path.
     dedup_hits: Arc<AtomicU64>,
-    /// In-flight [`SubmitHandle`] calls; [`Engine::finish`] waits for
-    /// zero after closing the pool so a call that passed the open check
-    /// completes — and lands in the result — before assembly starts.
-    handle_ops: Arc<AtomicU64>,
     /// First submission number of *this run*: `0` for a fresh engine,
-    /// the recovered member count after [`Engine::open`] — so
+    /// the recovered member count after a durable reopen — so
     /// resubmitted members never outrank a recovered representative.
     base_seq: u64,
-    /// What recovery found when the engine was [`Engine::open`]ed over
-    /// existing state.
+    /// What recovery found when the engine was built over an existing
+    /// durable store.
     recovery: Option<RecoveryReport>,
     /// Epoch barriers issued so far (see [`Engine::flush`]).
-    epoch: u64,
+    epoch: AtomicU64,
     started: Instant,
     /// The metrics registry behind [`Engine::telemetry`]: every
     /// instrument of this engine (and, through `facepoint serve`, of
     /// the service wrapping it) lives here.
     telemetry: Arc<Registry>,
-    /// Submit→classified chunk latency; threaded to the workers and
-    /// every inline-classification fallback.
-    chunk_latency: Arc<LatencyHistogram>,
-    /// When `pending` went empty→non-empty — the `submitted_at` of the
-    /// chunk it will become. Meaningless while `pending` is empty.
-    pending_since: Instant,
     /// The certified bucket resolver. Constructed in every mode so the
     /// telemetry schema (`engine_canon_*`) is stable across modes; only
     /// [`Resolution::Certified`] routes classifications through it.
@@ -382,56 +363,8 @@ impl EngineReport {
     }
 }
 
-/// An ingestion endpoint detached from the [`Engine`]'s `&mut` API:
-/// many handles submit **concurrently** — from different threads —
-/// into the same work-stealing pool, while the engine object stays
-/// free for observation calls (`snapshot`, `stats`, `top_classes`).
-///
-/// This is the service front-end's fairness primitive: one connection
-/// streaming a huge batch pushes through its own handle (blocking on
-/// pool backpressure, not on a shared engine lock), so other
-/// connections' snapshot/stats requests are never queued behind it.
-///
-/// Submission numbers are allocated from the engine's shared counter,
-/// so handle and engine submissions interleave into one global
-/// submission order. Handles buffer nothing between calls: every
-/// `submit`/`submit_batch` call is fully dispatched before it returns,
-/// which keeps [`Engine::drain`]'s quiescence contract intact.
-///
-/// A handle may outlive its engine's [`Engine::finish`]; submissions
-/// that lose that race are refused (`None`) **before a submission
-/// number is consumed**, and `finish` waits for handle calls already
-/// past that check — so every submission a handle accepts is in the
-/// finished result, and every refused one left no trace. A batch *in
-/// flight* when the pool closes is classified inline on the
-/// submitting thread.
-pub struct SubmitHandle {
-    pool: Arc<StealPool<Job>>,
-    store: Arc<ShardedStore>,
-    cache: Arc<MemoCache>,
-    order: Arc<OrderSink>,
-    processed: Arc<AtomicU64>,
-    next_seq: Arc<AtomicU64>,
-    dedup_hits: Arc<AtomicU64>,
-    /// In-flight handle calls, shared with the engine: incremented
-    /// *before* the closed check, so [`Engine::finish`] (which waits
-    /// for zero after closing the pool) either sees this call's count
-    /// or this call sees the closed pool — never neither.
-    handle_ops: Arc<AtomicU64>,
-    chunk_size: usize,
-    set: SignatureSet,
-    /// Kernel for the close-race inline path; built on first use.
-    fallback: Option<Box<SignatureKernel>>,
-    log_scratch: Vec<(u64, u128)>,
-    miss_scratch: Vec<usize>,
-    chunk_latency: Arc<LatencyHistogram>,
-    /// Certified-resolution context for the inline path; `None` in
-    /// digest mode.
-    certified: Option<Arc<CertifiedResolve>>,
-}
-
-/// One buffered [`SubmitHandle::submit_batch`] entry, held *without* a
-/// submission number until its chunk is flushed (see `flush_batch`).
+/// One buffered [`Engine::submit_batch`] entry, held *without* a
+/// submission number until its chunk is numbered (see `submit_chunk`).
 enum BatchEntry {
     /// The memo cache already knows this table's key.
     Hit(u128, TruthTable),
@@ -439,147 +372,10 @@ enum BatchEntry {
     Miss(TruthTable),
 }
 
-/// Decrements the in-flight handle-call count on every exit path.
-/// Owns its counter (an `Arc` clone) so holding it does not borrow the
-/// handle, which keeps mutating the handle's own state underneath.
-struct OpGuard(Arc<AtomicU64>);
-
-impl Drop for OpGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl SubmitHandle {
-    /// Registers an in-flight call, or refuses it (`None`) when the
-    /// engine is finishing. Order matters: the count goes up *before*
-    /// the closed check (see [`SubmitHandle::handle_ops`]).
-    fn begin_op(&self) -> Option<OpGuard> {
-        self.handle_ops.fetch_add(1, Ordering::SeqCst);
-        let guard = OpGuard(Arc::clone(&self.handle_ops));
-        if self.pool.is_closed() {
-            return None; // guard drop undoes the increment
-        }
-        Some(guard)
-    }
-
-    /// Submits one function; returns its submission number, or `None`
-    /// if the engine has already been finished (the submission is
-    /// refused before a number is consumed).
-    ///
-    /// Repeated functions take the same dedup fast path as
-    /// [`Engine::submit`] when the memo cache is enabled.
-    pub fn submit(&mut self, f: TruthTable) -> Option<u64> {
-        let _op = self.begin_op()?;
-        let seq = self.next_seq.fetch_add(1, Ordering::AcqRel);
-        if let Some(key) = self.cache.peek(&f) {
-            self.store.insert(key, &f, seq);
-            self.order.apply(&[(seq, key)]);
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            self.processed.fetch_add(1, Ordering::AcqRel);
-            return Some(seq);
-        }
-        self.dispatch(vec![(seq, f)], Instant::now());
-        Some(seq)
-    }
-
-    /// Submits every function of `fns` in order; returns the
-    /// submission number of the first one (consecutive within each
-    /// dispatched chunk; another handle can interleave only at chunk
-    /// boundaries), or `None` if the engine has already been finished.
-    pub fn submit_batch(&mut self, fns: impl IntoIterator<Item = TruthTable>) -> Option<u64> {
-        let _op = self.begin_op()?;
-        let chunk_size = self.chunk_size.max(1);
-        let mut first = None;
-        // Entries are buffered WITHOUT submission numbers; a chunk's
-        // numbers are allocated en bloc at flush time. A caller's
-        // iterator panicking mid-batch therefore just drops unnumbered
-        // tables — it can never strand an allocated submission number,
-        // which would wedge `drain` and break `finish`'s accounting.
-        let mut buf: Vec<BatchEntry> = Vec::with_capacity(chunk_size);
-        let mut chunk_since = Instant::now();
-        for f in fns {
-            if buf.is_empty() {
-                chunk_since = Instant::now();
-            }
-            let entry = match self.cache.peek(&f) {
-                Some(key) => BatchEntry::Hit(key, f),
-                None => BatchEntry::Miss(f),
-            };
-            buf.push(entry);
-            if buf.len() >= chunk_size {
-                self.flush_batch(&mut buf, &mut first, chunk_since);
-            }
-        }
-        self.flush_batch(&mut buf, &mut first, chunk_since);
-        Some(first.unwrap_or_else(|| self.next_seq.load(Ordering::Acquire)))
-    }
-
-    /// Numbers and dispatches one buffered chunk: dedup hits resolve
-    /// inline (store bump, order log, progress — the fast path, just
-    /// batched), misses go to the pool.
-    fn flush_batch(&mut self, buf: &mut Vec<BatchEntry>, first: &mut Option<u64>, since: Instant) {
-        if buf.is_empty() {
-            return;
-        }
-        let base = self.next_seq.fetch_add(buf.len() as u64, Ordering::AcqRel);
-        first.get_or_insert(base);
-        let mut hits: Vec<(u64, u128)> = Vec::new();
-        let mut misses: Vec<(u64, TruthTable)> = Vec::with_capacity(buf.len());
-        for (i, entry) in buf.drain(..).enumerate() {
-            let seq = base + i as u64;
-            match entry {
-                BatchEntry::Hit(key, table) => {
-                    self.store.insert(key, &table, seq);
-                    hits.push((seq, key));
-                }
-                BatchEntry::Miss(table) => misses.push((seq, table)),
-            }
-        }
-        if !hits.is_empty() {
-            self.order.apply(&hits);
-            self.dedup_hits
-                .fetch_add(hits.len() as u64, Ordering::Relaxed);
-            self.processed
-                .fetch_add(hits.len() as u64, Ordering::AcqRel);
-        }
-        if !misses.is_empty() {
-            self.dispatch(misses, since);
-        }
-    }
-
-    /// Pushes a chunk into the pool; if the pool closed mid-call, the
-    /// chunk's submission numbers are already allocated, so it is
-    /// classified inline here rather than dropped.
-    fn dispatch(&mut self, entries: Vec<(u64, TruthTable)>, since: Instant) {
-        if let Err(job) = self.pool.push(Job {
-            entries,
-            submitted_at: since,
-        }) {
-            let kernel = self
-                .fallback
-                .get_or_insert_with(|| Box::new(SignatureKernel::new(self.set)));
-            classify_job(
-                job,
-                kernel,
-                &self.store,
-                &self.cache,
-                &self.processed,
-                &self.order,
-                &mut self.log_scratch,
-                &mut self.miss_scratch,
-                &self.chunk_latency,
-                self.certified.as_deref(),
-            );
-        }
-    }
-}
-
 /// The one construction spine of [`Engine`]: configuration, optional
 /// durability directory, then [`build`](EngineBuilder::build) (or
 /// [`recover`](EngineBuilder::recover) for a read-only snapshot of the
-/// same directory). Obtained via [`Engine::builder`]; replaces the
-/// retired `with_config`/`try_with_config`/`open` trio.
+/// same directory). Obtained via [`Engine::builder`].
 ///
 /// ```no_run
 /// use facepoint_engine::{Engine, EngineConfig};
@@ -711,36 +507,6 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// An engine with explicit tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`EngineConfig::persist`] is set and the durable store
-    /// fails to open.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().config(cfg).build() — the builder reports \
-                store-opening failures instead of panicking"
-    )]
-    pub fn with_config(cfg: EngineConfig) -> Self {
-        Self::build_from(cfg).expect("failed to open the durable store")
-    }
-
-    /// Opens (or creates) a **durable** engine whose class store lives
-    /// under `dir`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, a store recorded under a different signature set
-    /// or resolution tier, or corruption outside a log tail.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().config(cfg).persist(dir).build()"
-    )]
-    pub fn open(dir: impl Into<PathBuf>, cfg: EngineConfig) -> io::Result<Self> {
-        Self::builder().config(cfg).persist(dir).build()
-    }
-
     /// Reads the durable store under `dir` without opening it for
     /// writing — shorthand for
     /// [`Engine::builder`]`.persist(dir).recover()`, see
@@ -751,17 +517,6 @@ impl Engine {
     /// See [`EngineBuilder::recover`].
     pub fn recover(dir: impl AsRef<Path>) -> io::Result<RecoveredSnapshot> {
         Self::builder().persist(dir.as_ref()).recover()
-    }
-
-    /// An engine with explicit tuning, reporting store-opening failures
-    /// instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Only when [`EngineConfig::persist`] is set.
-    #[deprecated(since = "0.1.0", note = "use Engine::builder().config(cfg).build()")]
-    pub fn try_with_config(cfg: EngineConfig) -> io::Result<Self> {
-        Self::build_from(cfg)
     }
 
     /// The one code path every constructor funnels into.
@@ -979,19 +734,15 @@ impl Engine {
             pool,
             order,
             handles,
-            pending: Vec::with_capacity(cfg.chunk_size),
             next_seq,
             dedup_hits,
-            handle_ops: Arc::new(AtomicU64::new(0)),
             base_seq,
             // Epoch numbers stay monotonic across reopens of the same
             // store: resume from the highest barrier recovery saw.
-            epoch: recovery.as_ref().map_or(0, |r| r.last_epoch),
+            epoch: AtomicU64::new(recovery.as_ref().map_or(0, |r| r.last_epoch)),
             recovery,
             started: Instant::now(),
             telemetry,
-            chunk_latency,
-            pending_since: Instant::now(),
             resolver,
             certified,
             cfg,
@@ -1010,8 +761,9 @@ impl Engine {
         Arc::clone(&self.telemetry)
     }
 
-    /// What recovery found when this engine was [`Engine::open`]ed over
-    /// an existing store; `None` for fresh or in-memory engines.
+    /// What recovery found when this engine was built over an existing
+    /// durable store ([`Engine::builder`]`.persist(dir)`); `None` for
+    /// fresh or in-memory engines.
     pub fn recovery(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
@@ -1019,29 +771,6 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// A detached ingestion endpoint feeding this engine's worker pool;
-    /// see [`SubmitHandle`]. Create one per producer thread (the
-    /// service front-end creates one per connection).
-    pub fn submit_handle(&self) -> SubmitHandle {
-        SubmitHandle {
-            pool: Arc::clone(&self.pool),
-            store: Arc::clone(&self.store),
-            cache: Arc::clone(&self.cache),
-            order: Arc::clone(&self.order),
-            processed: Arc::clone(&self.processed),
-            next_seq: Arc::clone(&self.next_seq),
-            dedup_hits: Arc::clone(&self.dedup_hits),
-            handle_ops: Arc::clone(&self.handle_ops),
-            chunk_size: self.cfg.chunk_size.max(1),
-            set: self.cfg.set,
-            fallback: None,
-            log_scratch: Vec::new(),
-            miss_scratch: Vec::new(),
-            chunk_latency: Arc::clone(&self.chunk_latency),
-            certified: self.certified.clone(),
-        }
     }
 
     /// Resolves `f` to its **proved** NPN class: the certified
@@ -1062,13 +791,11 @@ impl Engine {
     }
 
     /// A detached, read-only endpoint answering [`Engine::canon`]
-    /// queries **without the engine**: it shares the store, the
-    /// resolver and the signature set through `Arc`s, so a caller that
-    /// keeps the engine behind a lock (the service front-end does) can
-    /// run the canonicalization — up to a full Gray-code walk for an
-    /// unknown class — without holding that lock and stalling every
-    /// other engine user. Answers stay correct (if increasingly stale
-    /// in their member counts) even after [`Engine::finish`].
+    /// queries **without borrowing the engine**: it shares the store,
+    /// the resolver and the signature set through `Arc`s, so it can
+    /// live on a thread that does not hold the engine. Answers stay
+    /// correct (if increasingly stale in their member counts) even
+    /// after [`Engine::finish`].
     pub fn canon_handle(&self) -> CanonHandle {
         CanonHandle {
             store: Arc::clone(&self.store),
@@ -1079,103 +806,140 @@ impl Engine {
 
     /// Submits one function for classification and returns its
     /// submission number (the index it will have in the final
-    /// [`Classification`]'s label vector).
+    /// [`Classification`]'s label vector) — [`Engine::submit_batch`]
+    /// of one.
+    pub fn submit(&self, f: TruthTable) -> u64 {
+        self.submit_batch(std::iter::once(f))
+    }
+
+    /// Submits every function of `fns` in order and returns the
+    /// submission number of the first one. Numbers are allocated per
+    /// chunk of [`EngineConfig::chunk_size`] functions, consecutive
+    /// within each chunk; a concurrent producer can interleave its own
+    /// submissions only at chunk boundaries.
     ///
-    /// Functions are buffered into chunks; a full chunk is handed to
-    /// the worker pool, **blocking if every worker deque is full**
-    /// (backpressure). Use [`Engine::flush`] to push a partial chunk
-    /// early.
+    /// Each full chunk is handed to the worker pool as the iteration
+    /// reaches it, **blocking if every worker deque is full**
+    /// (backpressure), and the partial tail chunk before the call
+    /// returns: nothing stays buffered between calls, so
+    /// [`Engine::drain`] covers every function a returned call
+    /// accepted.
     ///
     /// When the memo cache is enabled (a positive
     /// [`EngineConfig::cache_capacity`]) a repeated function takes the
     /// **dedup fast path**: its cached key bumps the class counts right
     /// here, skipping the queue round-trip entirely. Fast-path
     /// resolutions are counted in [`EngineStats::dedup_hits`].
-    pub fn submit(&mut self, f: TruthTable) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::AcqRel);
-        if let Some(key) = self.cache.peek(&f) {
-            self.store.insert(key, &f, seq);
-            self.order.apply(&[(seq, key)]);
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            self.processed.fetch_add(1, Ordering::AcqRel);
-            return seq;
-        }
-        if self.pending.is_empty() {
-            self.pending_since = Instant::now();
-        }
-        self.pending.push((seq, f));
-        if self.pending.len() >= self.cfg.chunk_size.max(1) {
-            self.dispatch_pending();
-        }
-        seq
-    }
-
-    /// Submits every function of `fns` in order; returns the submission
-    /// number of the first one (consecutive for this batch unless a
-    /// concurrent [`SubmitHandle`] interleaves its own submissions).
-    pub fn submit_batch(&mut self, fns: impl IntoIterator<Item = TruthTable>) -> u64 {
-        // Taken from the first actual submission, not read up front: a
-        // concurrent handle could otherwise claim the read number
-        // first and the returned index would name its function.
+    pub fn submit_batch(&self, fns: impl IntoIterator<Item = TruthTable>) -> u64 {
+        let fns = fns.into_iter();
+        let chunk_size = self.cfg.chunk_size.max(1);
         let mut first = None;
+        // Entries are buffered WITHOUT submission numbers; a chunk's
+        // numbers are allocated en bloc when it is submitted. A
+        // caller's iterator panicking mid-batch therefore just drops
+        // unnumbered tables — it can never strand an allocated
+        // submission number, which would wedge `drain` and break
+        // `finish`'s accounting. The buffer is sized by the batch, so a
+        // one-function `submit` does not allocate a whole chunk.
+        let mut buf: Vec<BatchEntry> = Vec::with_capacity(fns.size_hint().0.min(chunk_size));
+        let mut chunk_since = Instant::now();
         for f in fns {
-            let seq = self.submit(f);
-            first.get_or_insert(seq);
+            if buf.is_empty() {
+                chunk_since = Instant::now();
+            }
+            let entry = match self.cache.peek(&f) {
+                Some(key) => BatchEntry::Hit(key, f),
+                None => BatchEntry::Miss(f),
+            };
+            buf.push(entry);
+            if buf.len() >= chunk_size {
+                self.submit_chunk(&mut buf, &mut first, chunk_since);
+            }
         }
+        self.submit_chunk(&mut buf, &mut first, chunk_since);
+        // Taken from the first numbered chunk, not read up front: a
+        // concurrent producer could otherwise claim the read number
+        // first and the returned index would name its function.
         first.unwrap_or_else(|| self.next_seq.load(Ordering::Acquire))
     }
 
-    /// Hands any buffered partial chunk to the workers now.
-    ///
-    /// For a durable engine this is also the **epoch barrier**: an
-    /// epoch marker is appended to every shard journal and the
-    /// journals are flushed — fsync'd under the default
+    /// Numbers and dispatches one buffered chunk: dedup hits resolve
+    /// inline (store bump, order log, progress — the fast path, just
+    /// batched), misses go to the pool.
+    fn submit_chunk(&self, buf: &mut Vec<BatchEntry>, first: &mut Option<u64>, since: Instant) {
+        if buf.is_empty() {
+            return;
+        }
+        let base = self.next_seq.fetch_add(buf.len() as u64, Ordering::AcqRel);
+        first.get_or_insert(base);
+        let mut hits: Vec<(u64, u128)> = Vec::new();
+        let mut misses: Vec<(u64, TruthTable)> = Vec::with_capacity(buf.len());
+        for (i, entry) in buf.drain(..).enumerate() {
+            let seq = base + i as u64;
+            match entry {
+                BatchEntry::Hit(key, table) => {
+                    self.store.insert(key, &table, seq);
+                    hits.push((seq, key));
+                }
+                BatchEntry::Miss(table) => misses.push((seq, table)),
+            }
+        }
+        if !hits.is_empty() {
+            self.order.apply(&hits);
+            self.dedup_hits
+                .fetch_add(hits.len() as u64, Ordering::Relaxed);
+            self.processed
+                .fetch_add(hits.len() as u64, Ordering::AcqRel);
+        }
+        if !misses.is_empty() {
+            self.pool
+                .push(Job {
+                    entries: misses,
+                    submitted_at: since,
+                })
+                .unwrap_or_else(|_| unreachable!("pool closed while the engine is alive"));
+        }
+    }
+
+    /// For a durable engine, the **epoch barrier**: an epoch marker is
+    /// appended to every shard journal and the journals are flushed —
+    /// fsync'd under the default
     /// [`SyncPolicy::Barrier`](crate::SyncPolicy::Barrier) — so every
     /// member classified *before* the call is crash-durable when it
     /// returns. Members still queued or in flight are covered by the
     /// next barrier (or by [`Engine::finish`]'s final checkpoint);
-    /// after a crash, recovery loses at most that un-fsync'd tail.
+    /// after a crash, recovery loses at most that un-fsync'd tail. A
+    /// no-op for in-memory engines.
+    ///
+    /// Concurrent barriers from several threads are safe: each one
+    /// takes its own epoch number and covers what was classified before
+    /// it started.
     ///
     /// # Panics
     ///
     /// Panics if the journals cannot be flushed — durability was
     /// promised and can no longer be provided.
-    pub fn flush(&mut self) {
-        self.dispatch_pending();
+    pub fn flush(&self) {
         if self.cfg.persist.is_some() {
-            self.epoch += 1;
+            // Relaxed: the counter only hands out unique numbers; the
+            // shard locks inside `sync_barrier` order the barrier itself.
+            let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
             self.store
-                .sync_barrier(self.epoch)
+                .sync_barrier(epoch)
                 .expect("epoch barrier failed; durable store is inconsistent");
         }
     }
 
-    fn dispatch_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.pending);
-        self.pending = Vec::with_capacity(self.cfg.chunk_size);
-        self.pool
-            .push(Job {
-                entries,
-                submitted_at: self.pending_since,
-            })
-            .unwrap_or_else(|_| unreachable!("pool closed while the engine is alive"));
-    }
-
-    /// Functions accepted so far (including any buffered, queued or
-    /// in-flight ones).
+    /// Functions accepted so far (including any queued or in-flight
+    /// ones).
     pub fn functions_submitted(&self) -> u64 {
         self.next_seq.load(Ordering::Acquire)
     }
 
     /// A mid-stream view: how much is classified, how many classes
     /// exist, and how they spread over shards. Runs concurrently with
-    /// ingestion (locks shards one at a time, briefly).
-    ///
-    /// Buffered-but-undispatched functions count as backlog; call
-    /// [`Engine::flush`] first if you want them moving.
+    /// ingestion (locks shards one at a time, briefly); queued and
+    /// in-flight functions count as backlog.
     pub fn snapshot(&self) -> EngineSnapshot {
         let shard_class_counts = self.store.shard_class_counts();
         EngineSnapshot {
@@ -1192,11 +956,10 @@ impl Engine {
         self.store.top_classes(limit)
     }
 
-    /// Pushes any buffered partial chunk to the workers and waits until
-    /// everything submitted so far is classified, without ending the
-    /// stream — the quiescence hook for long-running services, where
-    /// [`Engine::finish`] (which consumes the engine) is reserved for
-    /// shutdown.
+    /// Waits until everything submitted so far is classified, without
+    /// ending the stream — the quiescence hook for long-running
+    /// services, where [`Engine::finish`] (which consumes the engine)
+    /// is reserved for shutdown.
     ///
     /// Returns `true` once the backlog is zero, `false` if `timeout`
     /// elapsed first (the engine keeps working either way; partial
@@ -1213,8 +976,7 @@ impl Engine {
     /// Unlike [`Engine::flush`] this issues no epoch barrier — combine
     /// the two (`flush` then `drain`, or `drain` then `flush`) when a
     /// service wants both a quiescent view and durability of it.
-    pub fn drain(&mut self, timeout: std::time::Duration) -> bool {
-        self.dispatch_pending();
+    pub fn drain(&self, timeout: std::time::Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut polls = 0u32;
         while self.processed.load(Ordering::Acquire) < self.next_seq.load(Ordering::Acquire) {
@@ -1238,8 +1000,8 @@ impl Engine {
     /// input-ordered [`Classification`] plus run statistics.
     ///
     /// The classification covers the functions submitted to *this*
-    /// engine instance; for an engine recovered via [`Engine::open`],
-    /// class representatives may predate this run (they are the
+    /// engine instance; for a durable engine reopened over an existing
+    /// store, class representatives may predate this run (they are the
     /// earliest-known members, recovered ones included) and the durable
     /// store's class counts keep accumulating across runs.
     ///
@@ -1249,66 +1011,29 @@ impl Engine {
     /// reports the final classes through [`EngineReport::census`].
     ///
     /// A durable engine writes a final checkpoint of every shard before
-    /// returning, so a subsequent [`Engine::open`] replays checkpoints
-    /// only — no log tail, nothing to lose.
+    /// returning, so the next [`Engine::builder`]`.persist(dir)` over
+    /// the same directory replays checkpoints only — no log tail,
+    /// nothing to lose.
     ///
     /// # Panics
     ///
     /// Panics if a worker panicked or (durable engines) the final
     /// checkpoint cannot be written.
     pub fn finish(mut self) -> EngineReport {
-        self.dispatch_pending();
+        // `finish` owns the engine, so every submission has returned:
+        // the workers drain everything queued, then exit.
         self.pool.close();
-        // Wait out in-flight `SubmitHandle` calls: a call that passed
-        // its open check before the close above completes (a push that
-        // loses the race classifies inline — possibly a whole batch's
-        // tail, hence the sleep backoff instead of a pure spin), and
-        // any call starting now is refused before it consumes a
-        // submission number — so after this loop the submission count
-        // is final and the order sink can be sealed without dropping
-        // anything.
-        let mut polls = 0u32;
-        while self.handle_ops.load(Ordering::SeqCst) > 0 {
-            if polls < 64 {
-                polls += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
         for handle in self.handles.drain(..) {
             handle.join().expect("worker panicked");
         }
-        // Sweep whatever a close-racing `SubmitHandle` push may have
-        // stranded (normally nothing) so every allocated submission
-        // number is classified.
-        let leftovers = self.pool.drain_remaining();
-        if !leftovers.is_empty() {
-            let mut kernel = SignatureKernel::new(self.cfg.set);
-            let mut log = Vec::new();
-            let mut misses = Vec::new();
-            for job in leftovers {
-                classify_job(
-                    job,
-                    &mut kernel,
-                    &self.store,
-                    &self.cache,
-                    &self.processed,
-                    &self.order,
-                    &mut log,
-                    &mut misses,
-                    &self.chunk_latency,
-                    self.certified.as_deref(),
-                );
-            }
-        }
+        debug_assert_eq!(self.pool.queued(), 0, "workers exited with work queued");
         if self.cfg.persist.is_some() {
             self.store
                 .checkpoint_all()
                 .expect("final checkpoint failed; durable store is inconsistent");
         }
         let submitted_this_run = (self.next_seq.load(Ordering::Acquire) - self.base_seq) as usize;
-        let state = self.order.seal();
+        let state = self.order.take();
         // The census always reflects the store (cumulative for durable
         // engines); for a census-only engine it is the entire result.
         let census = self.store.top_classes(usize::MAX);
@@ -1546,7 +1271,7 @@ mod tests {
     fn matches_one_shot_classifier() {
         let fns = workload(5, 10, 6, 42);
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 4,
                 chunk_size: 7, // force many small, oddly-sized chunks
@@ -1563,7 +1288,7 @@ mod tests {
     #[test]
     fn representatives_are_class_members() {
         let fns = workload(4, 6, 4, 7);
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 3,
                 chunk_size: 5,
@@ -1591,7 +1316,7 @@ mod tests {
     fn snapshot_mid_stream_progresses() {
         let fns = workload(5, 8, 8, 99);
         let total = fns.len() as u64;
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 chunk_size: 16,
@@ -1615,7 +1340,7 @@ mod tests {
     #[test]
     fn memo_cache_sees_repeat_traffic() {
         let f = TruthTable::majority(5);
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 cache_capacity: 1024,
@@ -1641,7 +1366,7 @@ mod tests {
         fns.extend(workload(4, 1, 2, 6)); // 2 of another
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
         let total = fns.len() as u64;
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 chunk_size: 3,
@@ -1688,7 +1413,7 @@ mod tests {
         let fns = workload(5, 10, 8, 17);
         let total = fns.len() as u64;
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 3,
                 chunk_size: 9,
@@ -1717,7 +1442,7 @@ mod tests {
 
     #[test]
     fn stats_display_is_informative() {
-        let mut engine = Engine::new(SignatureSet::all());
+        let engine = Engine::new(SignatureSet::all());
         engine.submit(TruthTable::majority(3));
         let report = engine.finish();
         let line = report.stats.to_string();
@@ -1731,7 +1456,7 @@ mod tests {
         // `backlog()` never overshoot while a chunk is in flight.
         let fns = facepoint_bench::random_workload(8, 400, 0x9A9);
         let total = fns.len() as u64;
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 1,
                 chunk_size: fns.len(),
@@ -1769,7 +1494,7 @@ mod tests {
         // between deques; the partition must not notice.
         let fns = workload(4, 9, 5, 0x57EA);
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 8,
                 chunk_size: 1,
@@ -1792,7 +1517,7 @@ mod tests {
     fn census_only_mode_reports_through_census() {
         let fns = workload(4, 7, 3, 0xCE45);
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 chunk_size: 4,
@@ -1817,12 +1542,12 @@ mod tests {
     }
 
     #[test]
-    fn submit_handles_interleave_with_engine_submissions() {
+    fn concurrent_producers_interleave_on_one_engine() {
         let fns = workload(4, 8, 6, 0x4A4D);
         let expected_classes = Classifier::new(SignatureSet::all())
             .classify(fns.clone())
             .num_classes();
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 chunk_size: 4,
@@ -1831,15 +1556,14 @@ mod tests {
             .build()
             .unwrap();
         let (left, right) = fns.split_at(fns.len() / 2);
-        let mut handle = engine.submit_handle();
-        let right = right.to_vec();
-        let feeder = std::thread::spawn(move || {
-            handle.submit_batch(right).expect("engine is open");
+        // A second producer thread batches into the same engine while
+        // this one submits function by function.
+        std::thread::scope(|s| {
+            s.spawn(|| engine.submit_batch(right.iter().cloned()));
+            for f in left.iter().cloned() {
+                engine.submit(f);
+            }
         });
-        for f in left.iter().cloned() {
-            engine.submit(f);
-        }
-        feeder.join().unwrap();
         let report = engine.finish();
         // Interleaving order is nondeterministic, so compare the
         // partition's shape rather than its labels.
@@ -1864,7 +1588,7 @@ mod tests {
     fn telemetry_scrape_covers_engine_series() {
         let fns = workload(4, 6, 5, 0x7E1E);
         let total = fns.len() as u64;
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 2,
                 chunk_size: 4,
@@ -1924,7 +1648,7 @@ mod tests {
             }),
             ..EngineConfig::default()
         };
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(cfg.clone())
             .persist(&dir)
             .build()
@@ -1961,22 +1685,5 @@ mod tests {
         );
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn submit_handle_refuses_after_finish() {
-        let mut engine = Engine::builder()
-            .config(EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            })
-            .build()
-            .unwrap();
-        let mut handle = engine.submit_handle();
-        engine.submit(TruthTable::majority(3));
-        let report = engine.finish();
-        assert_eq!(report.stats.functions_processed, 1);
-        assert_eq!(handle.submit(TruthTable::parity(3)), None);
-        assert_eq!(handle.submit_batch([TruthTable::parity(3)]), None);
     }
 }

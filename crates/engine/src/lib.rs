@@ -18,9 +18,10 @@
 //!   with ingestion: each worker drains its own bounded deque (LIFO)
 //!   and steals from its peers (FIFO) when it runs dry, so no global
 //!   queue lock exists and `submit` blocks only when every deque is
-//!   full (backpressure instead of unbounded buffering). Concurrent
-//!   producers feed the same pool through [`SubmitHandle`]s without
-//!   touching the engine object;
+//!   full (backpressure instead of unbounded buffering). Every
+//!   ingestion method takes `&self` and buffers nothing between calls,
+//!   so concurrent producers share one engine by reference with no
+//!   lock around it;
 //! * **shards** — the partition store spreads classes over `S` shards
 //!   keyed by the *high bits* of the 128-bit MSV digest (the digest is
 //!   uniform, so shards load-balance), each behind its own lock, so
@@ -61,7 +62,7 @@
 //! use facepoint_sig::SignatureSet;
 //! use facepoint_truth::TruthTable;
 //!
-//! let mut engine = Engine::new(SignatureSet::all());
+//! let engine = Engine::new(SignatureSet::all());
 //! engine.submit(TruthTable::majority(3));
 //! engine.submit_batch([
 //!     TruthTable::majority(3).flip_var(0), // same class as majority
@@ -85,8 +86,7 @@ mod store;
 
 pub use config::{EngineConfig, EngineConfigBuilder, PersistConfig, Resolution, SyncPolicy};
 pub use engine::{
-    certified_key, CanonAnswer, CanonHandle, Engine, EngineBuilder, EngineReport,
-    RecoveredSnapshot, SubmitHandle,
+    certified_key, CanonAnswer, CanonHandle, Engine, EngineBuilder, EngineReport, RecoveredSnapshot,
 };
 pub use stats::{DurabilityStats, EngineSnapshot, EngineStats, RecoveryReport};
 pub use store::ClassSummary;

@@ -27,10 +27,9 @@
 //!   and then locks every deque once, which fences stragglers — any
 //!   push that observed the pool open lands before the fence, and any
 //!   push after it is refused with its item returned. Workers exit once
-//!   the pool is closed *and* globally empty; whatever a refused-push
-//!   race could strand is swept by [`StealPool::drain_remaining`] after
-//!   the workers are joined, so every accepted item is processed
-//!   exactly once.
+//!   the pool is closed *and* globally empty. The engine closes its
+//!   pool only in `finish`/`Drop`, which own the engine, so no push can
+//!   race the close: every accepted item is processed exactly once.
 //!
 //! The wake/sleep handshake is the classic two-counter pattern: the
 //! producer bumps the queued count (`SeqCst`) and *then* reads the
@@ -350,23 +349,6 @@ impl<T> StealPool<T> {
         self.work_cv.notify_all();
         self.space_cv.notify_all();
     }
-
-    /// Sweeps every deque after the workers are joined, returning
-    /// whatever a close-racing push may have stranded (normally
-    /// nothing). Must only be called on a closed pool.
-    pub fn drain_remaining(&self) -> Vec<T> {
-        debug_assert!(self.is_closed());
-        let mut out = Vec::new();
-        for i in 0..self.deques.len() {
-            let mut q = self.lock_deque(i);
-            out.extend(q.drain(..));
-            self.deques[i].len.store(0, Ordering::Relaxed);
-        }
-        if !out.is_empty() {
-            self.queued.fetch_sub(out.len(), Ordering::SeqCst);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -410,7 +392,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert!(pool.drain_remaining().is_empty());
+            assert_eq!(pool.queued(), 0);
             assert_eq!(count.load(Ordering::Relaxed), n, "{workers} workers");
             assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
         }
@@ -509,21 +491,6 @@ mod tests {
         assert_eq!(worker.join().unwrap(), None);
         assert!(pool.parks() > 0, "empty-pool worker never parked");
         assert_eq!(pool.push(7), Err(7), "closed pool accepted a push");
-        assert!(pool.drain_remaining().is_empty());
-    }
-
-    #[test]
-    fn drain_remaining_returns_undelivered_items() {
-        let pool = pool(2, 4, 2);
-        for v in 0..5u64 {
-            pool.push(v).unwrap();
-        }
-        pool.close();
-        let mut left = pool.drain_remaining();
-        left.sort_unstable();
-        assert_eq!(left, vec![0, 1, 2, 3, 4]);
-        assert_eq!(pool.queued.load(Ordering::SeqCst), 0);
-        // And the sweep is idempotent.
-        assert!(pool.drain_remaining().is_empty());
+        assert_eq!(pool.queued(), 0);
     }
 }

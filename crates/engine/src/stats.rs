@@ -155,7 +155,7 @@ impl std::fmt::Display for DurabilityStats {
     }
 }
 
-/// What [`Engine::open`](crate::Engine::open) and
+/// What [`Engine::builder`](crate::Engine::builder)`.persist(dir)` and
 /// [`Engine::recover`](crate::Engine::recover) found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {

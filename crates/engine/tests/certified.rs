@@ -26,7 +26,7 @@ fn certified_cfg(workers: usize) -> EngineConfig {
 /// the engine's labels normalized to first-occurrence order (the order
 /// [`exact_classify`] reports).
 fn certified_run(fns: &[TruthTable], workers: usize) -> (ClassLabels, EngineReport) {
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(certified_cfg(workers))
         .build()
         .unwrap();
@@ -145,14 +145,10 @@ fn statistical_cross_check_matches_exact_classifier() {
 #[test]
 fn canon_answers_carry_valid_witnesses() {
     let fns = transform_closure_workload(4, 6, 5, 0x0C41);
-    let mut engine = Engine::builder().config(certified_cfg(2)).build().unwrap();
+    let engine = Engine::builder().config(certified_cfg(2)).build().unwrap();
     engine.submit_batch(fns.iter().cloned());
-    // Drain before querying so every class is in the store (flush
-    // pushes the partial trailing chunk out of the submit buffer).
-    engine.flush();
-    while engine.snapshot().functions_processed < fns.len() as u64 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    // Drain before querying so every class is in the store.
+    assert!(engine.drain(std::time::Duration::from_secs(30)));
     for f in &fns {
         let answer = engine.canon(f);
         assert_eq!(answer.witness.apply(f), answer.entry.representative);
@@ -175,7 +171,7 @@ fn certified_store_persists_and_primes_the_resolver() {
     let fns = transform_closure_workload(5, 8, 6, 0xD1CE);
     let expected = exact_classify(&fns);
 
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(certified_cfg(2))
         .persist(&dir)
         .build()
@@ -196,7 +192,7 @@ fn certified_store_persists_and_primes_the_resolver() {
         "snapshot and report disagree through the shared render path"
     );
 
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(certified_cfg(2))
         .persist(&dir)
         .build()
@@ -219,9 +215,8 @@ fn certified_store_persists_and_primes_the_resolver() {
 
 /// The shipped configuration: `facepoint serve --certified` runs with
 /// the memo cache **on**, so repeated tables take the dedup fast paths
-/// (submit-time peek, the worker's per-entry cache probe, a
-/// [`SubmitHandle`](facepoint_engine::SubmitHandle)'s batched hits) —
-/// all of which insert *raw* member tables. With chunks of one table
+/// (the submit-time batched peek, the worker's per-entry cache probe)
+/// — both of which insert *raw* member tables. With chunks of one table
 /// and eight workers, duplicates routinely classify out of chunk
 /// order, which once let such an insert steal the representative slot
 /// on a lower seq (`seq < rep_seq`), replacing the proved canonical
@@ -266,18 +261,17 @@ fn dedup_cache_never_steals_certified_representatives() {
         fns.extend(base.iter().cloned());
     }
 
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(cached_cfg())
         .persist(&dir)
         .build()
         .unwrap();
-    // Cross-handle duplicates exercise the handle's batched hit path.
-    let mut handle = engine.submit_handle();
-    engine.submit_batch(fns.iter().cloned());
-    handle.submit_batch(base.iter().cloned()).unwrap();
-    // The handle's `Arc`s keep the store — and its advisory file lock —
-    // alive; release them before the reopen below.
-    drop(handle);
+    // A second producer thread's duplicates race this one's through
+    // the batched hit path.
+    std::thread::scope(|s| {
+        s.spawn(|| engine.submit_batch(base.iter().cloned()));
+        engine.submit_batch(fns.iter().cloned());
+    });
     let first = engine.finish();
     assert_eq!(first.stats.num_classes, expected.num_classes());
     assert!(
@@ -293,7 +287,7 @@ fn dedup_cache_never_steals_certified_representatives() {
     for class in &snap.classes {
         assert_eq!(certified_key(&class.representative), class.key);
     }
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(cached_cfg())
         .persist(&dir)
         .build()
@@ -330,7 +324,7 @@ fn cross_mode_reopen_is_refused() {
         } else {
             "certified-first"
         });
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(first)
             .persist(&dir)
             .build()

@@ -39,7 +39,7 @@ fn ten_thousand_tables_all_worker_counts() {
     assert!(fns.len() >= 10_000, "workload holds {} tables", fns.len());
     let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
     for workers in [1usize, 2, 8] {
-        let mut engine = engine_with(workers, SignatureSet::all(), 128);
+        let engine = engine_with(workers, SignatureSet::all(), 128);
         engine.submit_batch(fns.iter().cloned());
         let report = engine.finish();
         assert_eq!(
@@ -63,7 +63,7 @@ fn all_signature_presets_match() {
     for (name, set) in SignatureSet::table2_columns() {
         let expected = Classifier::new(set).classify(fns.clone());
         for workers in [1usize, 2, 8] {
-            let mut engine = engine_with(workers, set, 17);
+            let engine = engine_with(workers, set, 17);
             engine.submit_batch(fns.iter().cloned());
             let got = engine.finish().classification;
             assert_eq!(
@@ -82,7 +82,7 @@ fn all_signature_presets_match() {
 #[test]
 fn classes_stay_coherent_under_concurrency() {
     let fns = workload(5, 20, 12, 0xC0FFEE);
-    let mut engine = engine_with(8, SignatureSet::all(), 9);
+    let engine = engine_with(8, SignatureSet::all(), 9);
     engine.submit_batch(fns.iter().cloned());
     let report = engine.finish();
     let c = &report.classification;
@@ -112,7 +112,7 @@ fn interleaved_waves_and_snapshots() {
     let all: Vec<TruthTable> = waves.iter().flatten().cloned().collect();
     let expected = Classifier::new(SignatureSet::all()).classify(all.clone());
 
-    let mut engine = engine_with(4, SignatureSet::all(), 16);
+    let engine = engine_with(4, SignatureSet::all(), 16);
     let mut seen_classes = 0usize;
     for wave in waves {
         engine.submit_batch(wave);
@@ -144,7 +144,7 @@ fn dedup_fast_path_is_transparent_across_worker_counts() {
     fns.extend(base.iter().cloned());
     let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
     for workers in [1usize, 2, 8] {
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(EngineConfig {
                 set: SignatureSet::all(),
                 workers,
@@ -184,14 +184,14 @@ fn dedup_fast_path_is_transparent_across_worker_counts() {
     }
 }
 
-/// Regression: a fast-path hit interleaved with *buffered* (not yet
-/// dispatched) functions must not shift their sequence numbers — the
-/// buffered chunk's seqs are non-contiguous in that case.
+/// Regression: a fast-path hit interleaved with queue-bound functions
+/// must not shift their sequence numbers — the queued functions' seqs
+/// are non-contiguous in that case.
 #[test]
 fn dedup_interleaved_with_pending_buffer_keeps_submission_order() {
     let known = workload(4, 3, 1, 0x1AB);
     let fresh = workload(4, 6, 1, 0x2CD);
-    // Stream: warm-up (known), then alternate fresh (buffered) and
+    // Stream: warm-up (known), then alternate fresh (queue-bound) and
     // known (fast path) without draining in between.
     let mut stream: Vec<TruthTable> = known.clone();
     for (f, k) in fresh.iter().zip(known.iter().cycle()) {
@@ -199,11 +199,11 @@ fn dedup_interleaved_with_pending_buffer_keeps_submission_order() {
         stream.push(k.clone());
     }
     let expected = Classifier::new(SignatureSet::all()).classify(stream.clone());
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             set: SignatureSet::all(),
             workers: 2,
-            chunk_size: 64, // larger than the stream: everything stays buffered
+            chunk_size: 64, // larger than the stream: one chunk per call
             cache_capacity: 1024,
             ..EngineConfig::default()
         })
@@ -220,7 +220,7 @@ fn dedup_interleaved_with_pending_buffer_keeps_submission_order() {
         std::thread::yield_now();
     }
     for (f, k) in fresh.iter().zip(known.iter().cycle()) {
-        engine.submit(f.clone()); // buffered, queue-bound
+        engine.submit(f.clone()); // queue-bound
         engine.submit(k.clone()); // cache hit, fast path
     }
     let report = engine.finish();
@@ -228,7 +228,7 @@ fn dedup_interleaved_with_pending_buffer_keeps_submission_order() {
     assert_eq!(
         report.classification.labels(),
         expected.labels(),
-        "interleaved fast-path hits must not reorder buffered functions"
+        "interleaved fast-path hits must not reorder queued functions"
     );
 }
 
@@ -241,7 +241,7 @@ fn cache_is_transparent_and_hits() {
     let mut fns = base.clone();
     fns.extend(base.iter().cloned());
     let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-    let mut cached = Engine::builder()
+    let cached = Engine::builder()
         .config(EngineConfig {
             workers: 4,
             cache_capacity: 4096,

@@ -57,10 +57,10 @@ fn palette() -> Vec<TruthTable> {
     fns
 }
 
-fn stream(engine: &mut Engine, palette: &[TruthTable], count: usize) {
-    for i in 0..count {
-        engine.submit(palette[i % palette.len()].clone());
-    }
+/// Streams `count` palette functions through one `submit_batch` call,
+/// so the configured chunk size shapes every dispatched chunk.
+fn stream(engine: &Engine, palette: &[TruthTable], count: usize) {
+    engine.submit_batch((0..count).map(|i| palette[i % palette.len()].clone()));
     assert!(
         engine.drain(Duration::from_secs(600)),
         "engine failed to drain"
@@ -82,7 +82,7 @@ fn steady_state_memory_is_flat_without_label_tracking() {
     let palette = palette();
 
     // --- census-only: flat ------------------------------------------
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             workers: 2,
             chunk_size: 64,
@@ -95,11 +95,11 @@ fn steady_state_memory_is_flat_without_label_tracking() {
         .unwrap();
     // Warm-up: grow chunk buffers, deques, shard maps and kernel
     // scratch to their high-water marks.
-    stream(&mut engine, &palette, warmup);
+    stream(&engine, &palette, warmup);
     let baseline = live_bytes();
     let mut peak_growth = 0i64;
     for wave in 0..waves {
-        stream(&mut engine, &palette, per_wave);
+        stream(&engine, &palette, per_wave);
         let growth = live_bytes() - baseline;
         peak_growth = peak_growth.max(growth);
         println!(
@@ -127,7 +127,7 @@ fn steady_state_memory_is_flat_without_label_tracking() {
     // --- label tracking: grows, and by about 4 B/fn, proving the
     // --- harness measures what it claims ----------------------------
     let tracked_stream = (total / 2).max(10_000);
-    let mut tracked = Engine::builder()
+    let tracked = Engine::builder()
         .config(EngineConfig {
             workers: 2,
             chunk_size: 64,
@@ -138,9 +138,9 @@ fn steady_state_memory_is_flat_without_label_tracking() {
         })
         .build()
         .unwrap();
-    stream(&mut tracked, &palette, 1_000);
+    stream(&tracked, &palette, 1_000);
     let tracked_baseline = live_bytes();
-    stream(&mut tracked, &palette, tracked_stream);
+    stream(&tracked, &palette, tracked_stream);
     let tracked_growth = live_bytes() - tracked_baseline;
     println!("label-tracking: {tracked_stream} fns grew {tracked_growth} B");
     assert!(

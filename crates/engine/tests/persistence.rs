@@ -51,7 +51,7 @@ fn open_finish_recover_roundtrip() {
     let dir = test_dir("roundtrip");
     let fns = random_workload(5, 300, 11);
     let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig::default())
         .persist(&dir)
         .build()
@@ -108,7 +108,7 @@ fn reopen_accumulates_and_warms_dedup_cache() {
         }),
         ..EngineConfig::default()
     };
-    let mut first = Engine::builder()
+    let first = Engine::builder()
         .config(cfg())
         .persist(&dir)
         .build()
@@ -116,7 +116,7 @@ fn reopen_accumulates_and_warms_dedup_cache() {
     first.submit_batch(fns.clone());
     let first_report = first.finish();
 
-    let mut second = Engine::builder()
+    let second = Engine::builder()
         .config(cfg())
         .persist(&dir)
         .build()
@@ -150,7 +150,7 @@ fn reopen_accumulates_and_warms_dedup_cache() {
 #[test]
 fn flush_writes_epoch_barriers() {
     let dir = test_dir("epochs");
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             persist: Some(PersistConfig {
                 dir: dir.clone(),
@@ -203,7 +203,7 @@ fn flush_writes_epoch_barriers() {
     assert_eq!(snap.report.last_epoch, 2);
 
     // Epoch numbering resumes (stays monotonic) across a reopen.
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             persist: Some(PersistConfig {
                 dir: dir.clone(),
@@ -292,7 +292,7 @@ fn recover_without_store_is_not_found() {
 fn sync_always_survives_unclean_drop() {
     let dir = test_dir("always");
     let fns = random_workload(4, 40, 17);
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             workers: 1,
             persist: Some(PersistConfig {
@@ -320,6 +320,79 @@ fn sync_always_survives_unclean_drop() {
     drop(engine);
     let snap = Engine::recover(&dir).unwrap();
     assert_eq!(snap.members(), 40);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Producers and epoch barriers share one durable engine by reference:
+/// scoped threads call `submit_batch` and `flush` concurrently on the
+/// same `&Engine`, with no engine-level lock serializing the barriers
+/// against each other or against ingestion. The engine is then dropped
+/// without `finish`, so only the journals and their barriers carry the
+/// census to disk.
+#[test]
+fn concurrent_producers_and_barriers_share_one_durable_engine() {
+    const PRODUCERS: usize = 4;
+    const BATCHES: usize = 6;
+    let dir = test_dir("shared");
+    let engine = Engine::builder()
+        .config(EngineConfig {
+            workers: 2,
+            shards: 4,
+            chunk_size: 8,
+            cache_capacity: 1 << 10,
+            persist: Some(PersistConfig {
+                dir: dir.clone(),
+                checkpoint_interval: 64,
+                sync: SyncPolicy::Barrier,
+            }),
+            ..EngineConfig::default()
+        })
+        .persist(&dir)
+        .build()
+        .unwrap();
+    // Every producer streams its own tables plus a shared run, so the
+    // threads also race each other through the dedup fast path.
+    let shared = random_workload(5, 30, 0x5A);
+    let streams: Vec<Vec<TruthTable>> = (0..PRODUCERS)
+        .map(|p| {
+            let mut fns = random_workload(5, 90, 0x5B + p as u64);
+            fns.extend(shared.iter().cloned());
+            fns
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for stream in &streams {
+            let engine = &engine;
+            s.spawn(move || {
+                for batch in stream.chunks(stream.len().div_ceil(BATCHES)) {
+                    engine.submit_batch(batch.iter().cloned());
+                    engine.flush();
+                }
+            });
+        }
+    });
+    assert!(
+        engine.drain(std::time::Duration::from_secs(30)),
+        "engine failed to drain"
+    );
+    engine.flush();
+    let durability = engine.stats().durability.expect("durable engine");
+    assert_eq!(
+        durability.epochs,
+        (PRODUCERS * BATCHES + 1) as u64,
+        "every flush is one barrier"
+    );
+    drop(engine);
+
+    let all: Vec<TruthTable> = streams.into_iter().flatten().collect();
+    let expected = Classifier::new(SignatureSet::all()).classify(all.clone());
+    let snap = Engine::recover(&dir).unwrap();
+    assert_eq!(snap.members(), all.len() as u64);
+    let mut recovered: Vec<usize> = snap.classes.iter().map(|c| c.size).collect();
+    let mut sizes: Vec<usize> = expected.classes().iter().map(|c| c.size()).collect();
+    recovered.sort_unstable();
+    sizes.sort_unstable();
+    assert_eq!(recovered, sizes, "recovered partition differs");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -379,7 +452,7 @@ proptest! {
     fn torn_tail_truncates_to_prefix(count in 4usize..=10, seed in any::<u64>()) {
         let dir = test_dir("torn-prop");
         let fns = random_workload(4, count, seed);
-        let mut engine = Engine::builder().config(durable_cfg(&dir, 0)).build().unwrap();
+        let engine = Engine::builder().config(durable_cfg(&dir, 0)).build().unwrap();
         engine.submit_batch(fns.iter().cloned());
         // Drain, then drop WITHOUT finish so no checkpoint supersedes
         // the log (single worker: log order == submission order).
@@ -440,7 +513,7 @@ proptest! {
         let plain_dir = test_dir("ckpt-eq-plain");
         let fns = random_workload(4, count, seed);
         for (dir, ckpt) in [(&compacted_dir, interval), (&plain_dir, 0)] {
-            let mut engine = Engine::builder().config(durable_cfg(dir, ckpt)).build().unwrap();
+            let engine = Engine::builder().config(durable_cfg(dir, ckpt)).build().unwrap();
             engine.submit_batch(fns.iter().cloned());
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             while engine.snapshot().functions_processed < count as u64 {

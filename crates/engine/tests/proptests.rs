@@ -35,7 +35,7 @@ proptest! {
         workers in 1usize..=4,
         chunk in 1usize..=32,
     ) {
-        let mut one_by_one = Engine::builder().config(EngineConfig {
+        let one_by_one = Engine::builder().config(EngineConfig {
             set,
             workers,
             chunk_size: chunk,
@@ -46,7 +46,7 @@ proptest! {
         }
         let a = one_by_one.finish().classification;
 
-        let mut batched = Engine::builder().config(EngineConfig {
+        let batched = Engine::builder().config(EngineConfig {
             set,
             workers,
             chunk_size: chunk,
@@ -66,7 +66,7 @@ proptest! {
         workers in 1usize..=4,
     ) {
         let expected = Classifier::new(set).classify(fns.clone());
-        let mut engine = Engine::builder().config(EngineConfig {
+        let engine = Engine::builder().config(EngineConfig {
             set,
             workers,
             chunk_size: 5,
@@ -79,7 +79,7 @@ proptest! {
 
     #[test]
     fn submission_numbers_are_dense(fns in arb_workload()) {
-        let mut engine = Engine::new(SignatureSet::all());
+        let engine = Engine::new(SignatureSet::all());
         for (expected_seq, f) in fns.iter().cloned().enumerate() {
             prop_assert_eq!(engine.submit(f), expected_seq as u64);
         }
@@ -100,7 +100,7 @@ proptest! {
     ) {
         let expected = Classifier::new(set).classify(fns.clone());
         for workers in [1usize, 2, 8] {
-            let mut engine = Engine::builder().config(EngineConfig {
+            let engine = Engine::builder().config(EngineConfig {
                 set,
                 workers,
                 chunk_size: chunk,
@@ -136,7 +136,7 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let mut engine = Engine::builder().config(EngineConfig {
+        let engine = Engine::builder().config(EngineConfig {
             workers: 8,
             chunk_size: chunk,
             deque_capacity: 1,
@@ -180,7 +180,7 @@ proptest! {
         let exact = facepoint_exact::exact_classify(&fns);
         for workers in [1usize, 2, 8] {
             let run = |resolution: facepoint_engine::Resolution| {
-                let mut engine = Engine::builder().config(
+                let engine = Engine::builder().config(
                     EngineConfig::builder()
                         .set(set)
                         .workers(workers)

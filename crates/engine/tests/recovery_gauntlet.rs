@@ -107,7 +107,7 @@ fn child_main() -> ! {
         Ok("always") => SyncPolicy::Always,
         _ => SyncPolicy::Barrier,
     };
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(child_cfg(dir.clone(), sync))
         .persist(&dir)
         .build()
@@ -222,7 +222,7 @@ fn kill_then_recover_converges() {
 
         // 3. Reopen, re-submit the full stream: the partition converges
         // to the one-shot result and the census accumulates exactly.
-        let mut engine = Engine::builder()
+        let engine = Engine::builder()
             .config(child_cfg(dir.clone(), SyncPolicy::Barrier))
             .persist(&dir)
             .build()

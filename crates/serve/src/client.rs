@@ -257,11 +257,10 @@ impl Client {
         self.exchange("STATS")
     }
 
-    /// `FLUSH` — pushes buffered work to the workers and, for a
-    /// persistent census, issues an epoch barrier (everything
-    /// classified before the call is crash-durable when it returns).
-    /// Returns the server's cumulative barrier count (0 for an
-    /// in-memory census).
+    /// `FLUSH` — for a persistent census, issues an epoch barrier
+    /// (everything classified before the call is crash-durable when it
+    /// returns). Returns the server's cumulative barrier count (0 for
+    /// an in-memory census).
     ///
     /// # Errors
     ///
@@ -271,13 +270,12 @@ impl Client {
         parse_field(&body, "epochs")
     }
 
-    /// Issues one `FLUSH` (without it, a partial chunk can sit in the
-    /// server's ingest buffer indefinitely — §6), polls `SNAPSHOT`
-    /// until the backlog is zero — every submission acknowledged so
-    /// far is classified — then issues a second `FLUSH` so that, on a
-    /// persistent server, everything just waited for is also inside
-    /// an epoch barrier: when this returns, the caller's work is
-    /// classified *and* crash-durable.
+    /// Issues one `FLUSH`, polls `SNAPSHOT` until the backlog is zero
+    /// — every submission acknowledged so far is classified — then
+    /// issues a second `FLUSH` so that, on a persistent server,
+    /// everything just waited for is also inside an epoch barrier:
+    /// when this returns, the caller's work is classified *and*
+    /// crash-durable.
     ///
     /// # Errors
     ///

@@ -1,15 +1,14 @@
 //! The service front-end: acceptor, per-connection readers, dispatch.
 //!
-//! One [`Engine`] serves every connection, but **ingestion does not go
-//! through the engine lock**: each connection lazily takes a
-//! [`SubmitHandle`] — a detached endpoint into the engine's
-//! work-stealing pool — and `SUBMIT`/`SUBMIT-BATCH` push through it
-//! concurrently. A connection streaming a huge batch therefore blocks
-//! on the pool's bounded deques (backpressure, §6 of
-//! `docs/PROTOCOL.md`), not on a lock that `SNAPSHOT`/`STATS`/`TOP`
-//! from other connections need: observation requests take the engine
-//! mutex only for the microseconds of a counter sweep and can never be
-//! starved by a busy ingester (pinned by `tests/fairness.rs`). When
+//! One [`Engine`] serves every connection, **with no lock around it**:
+//! every engine method a request needs takes `&self`, so connection
+//! threads share the engine by reference. `SUBMIT`/`SUBMIT-BATCH` push
+//! straight into the engine's work-stealing pool, and a connection
+//! streaming a huge batch blocks only on the pool's bounded deques
+//! (backpressure, §6 of `docs/PROTOCOL.md`) while `SNAPSHOT`/`STATS`/
+//! `TOP`/`CANON` from other connections run alongside it and can never
+//! be starved by a busy ingester (pinned by `tests/fairness.rs`). A
+//! `FLUSH` waiting on its fsyncs stalls only its own connection. When
 //! workers fall behind, a submitting connection's read loop stalls in
 //! its own push and TCP receive windows push the wait back into that
 //! client alone. Nothing in the server buffers an unbounded amount.
@@ -17,7 +16,7 @@
 use crate::proto::{self, Status, MAX_BATCH, PROTO_VERSION};
 use crate::signal;
 use facepoint_core::wire::Record;
-use facepoint_engine::{Engine, EngineReport, SubmitHandle};
+use facepoint_engine::{Engine, EngineReport};
 use facepoint_telemetry::{Counter, Gauge, LatencyHistogram, Registry};
 use facepoint_truth::TruthTable;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -70,10 +69,6 @@ const OP_SERIES: [(&str, &str); 12] = [
 /// the pre-resolved `Arc` handles — nothing on the request path locks
 /// the registry or allocates.
 struct ServeTelemetry {
-    /// The engine's registry, kept alive independently of the engine
-    /// itself so `METRICS` can still be answered while the server
-    /// drains for shutdown.
-    registry: Arc<Registry>,
     /// Live connections (`serve_connections`).
     connections: Arc<Gauge>,
     /// Raw socket bytes, counted below the buffering layers
@@ -85,7 +80,7 @@ struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    fn new(registry: Arc<Registry>) -> ServeTelemetry {
+    fn new(registry: &Registry) -> ServeTelemetry {
         let op_nanos = OP_SERIES
             .iter()
             .map(|(op, name)| (*op, registry.histogram(name)))
@@ -95,7 +90,6 @@ impl ServeTelemetry {
             bytes_read: registry.counter("serve_bytes_read_total"),
             bytes_written: registry.counter("serve_bytes_written_total"),
             op_nanos,
-            registry,
         }
     }
 
@@ -111,13 +105,14 @@ impl ServeTelemetry {
     }
 }
 
-/// Shared server state: the engine every connection feeds, and the
-/// shutdown latch.
+/// Shared server state: the engine every connection feeds, its seal,
+/// and the connection registry.
 struct Shared {
-    /// `None` once shutdown has sealed the engine; requests arriving
-    /// after that are answered with `ESHUTDOWN`.
-    engine: Mutex<Option<Engine>>,
-    shutdown: AtomicBool,
+    engine: Engine,
+    /// Set by [`Server::run`] once shutdown begins: every engine opcode
+    /// but `METRICS` is answered with `ESHUTDOWN` from then on, while
+    /// the handlers still in flight finish against the live engine.
+    sealed: AtomicBool,
     /// One clone of each **live** connection's stream, so shutdown can
     /// wake readers blocked in `read` (`TcpStream::shutdown` is the
     /// only portable interrupt for a blocking socket read). Handlers
@@ -126,34 +121,21 @@ struct Shared {
     /// long-running server).
     conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
     serve: ServeTelemetry,
-    /// Lock-free `CANON` endpoint, detached from the engine at
-    /// construction: a canonicalization (up to a full Gray-code walk
-    /// for an unknown heavy-symmetry class) runs on the requesting
-    /// connection's thread without holding the engine lock that
-    /// `SNAPSHOT`/`STATS`/`FLUSH` from other connections need.
-    canon: facepoint_engine::CanonHandle,
 }
 
 impl Shared {
     fn new(engine: Engine) -> Shared {
-        let serve = ServeTelemetry::new(engine.telemetry());
-        let canon = engine.canon_handle();
         Shared {
-            engine: Mutex::new(Some(engine)),
-            shutdown: AtomicBool::new(false),
+            serve: ServeTelemetry::new(&engine.telemetry()),
+            engine,
+            sealed: AtomicBool::new(false),
             conns: Mutex::new(std::collections::HashMap::new()),
-            serve,
-            canon,
         }
     }
 
-    fn lock_engine(&self) -> std::sync::MutexGuard<'_, Option<Engine>> {
-        // A panic in a handler thread must not wedge the server: the
-        // engine state itself is only mutated through &mut methods
-        // that keep it consistent.
-        self.engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The engine, or `None` once shutdown has sealed it.
+    fn engine(&self) -> Option<&Engine> {
+        (!self.sealed.load(Ordering::SeqCst)).then_some(&self.engine)
     }
 }
 
@@ -194,15 +176,18 @@ impl<W: Write> Write for CountingWrite<W> {
 /// Signals a running [`Server`] to shut down gracefully. Clonable and
 /// sendable across threads; also wired to SIGTERM/SIGINT through
 /// [`signal::install`].
+///
+/// The handle holds only the shutdown latch, never the engine, so it
+/// may outlive [`Server::run`].
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<Shared>);
+pub struct ShutdownHandle(Arc<AtomicBool>);
 
 impl ShutdownHandle {
     /// Requests shutdown: the acceptor stops, in-flight requests get
     /// `ESHUTDOWN`, the engine is finished (final checkpoint included
     /// when durable) and [`Server::run`] returns.
     pub fn shutdown(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.0.store(true, Ordering::SeqCst);
     }
 }
 
@@ -215,13 +200,16 @@ impl ShutdownHandle {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    /// The latch every [`ShutdownHandle`] sets.
+    shutdown: Arc<AtomicBool>,
     cfg: ServerConfig,
 }
 
 impl Server {
     /// Binds `addr` and wraps `engine` for serving. The engine may
-    /// already hold a recovered census ([`Engine::open`]) — serving
-    /// resumes it transparently.
+    /// already hold a recovered census
+    /// ([`Engine::builder`]`.persist(dir)`) — serving resumes it
+    /// transparently.
     ///
     /// # Errors
     ///
@@ -231,6 +219,7 @@ impl Server {
         Ok(Server {
             listener,
             shared: Arc::new(Shared::new(engine)),
+            shutdown: Arc::new(AtomicBool::new(false)),
             cfg,
         })
     }
@@ -246,7 +235,7 @@ impl Server {
 
     /// A handle that can stop this server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shared))
+        ShutdownHandle(Arc::clone(&self.shutdown))
     }
 
     /// Serves until shutdown is requested (via [`ShutdownHandle`] or an
@@ -255,8 +244,8 @@ impl Server {
     /// every connection thread, and [`Engine::finish`] — which writes
     /// the final checkpoint when the census is durable.
     ///
-    /// Returns the engine's final report, or `None` if the engine was
-    /// already gone (cannot happen through public API).
+    /// Returns the engine's final report — always `Some`, since the
+    /// joined connection threads were the engine's only other holders.
     ///
     /// # Errors
     ///
@@ -280,7 +269,7 @@ impl Server {
         let mut accept_failures: u32 = 0;
         const MAX_ACCEPT_FAILURES: u32 = 200;
         let mut fatal: Option<io::Error> = None;
-        while !self.shared.shutdown.load(Ordering::SeqCst) && !signal::triggered() {
+        while !self.shutdown.load(Ordering::SeqCst) && !signal::triggered() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     accept_failures = 0;
@@ -345,8 +334,8 @@ impl Server {
         }
         drop(self.listener);
         // Seal the engine first: handlers answering after this point
-        // see `None` and reply ESHUTDOWN.
-        let engine = self.shared.lock_engine().take();
+        // reply ESHUTDOWN.
+        self.shared.sealed.store(true, Ordering::SeqCst);
         // Wake readers blocked on their sockets, then join them.
         for (_, conn) in self
             .shared
@@ -360,9 +349,10 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        // Finish (and checkpoint) the engine *before* surfacing a
+        // Every handler is joined, so this is the last reference to the
+        // engine. Finish (and checkpoint) it *before* surfacing a
         // listener failure: durability first, diagnosis second.
-        let report = engine.map(Engine::finish);
+        let report = Arc::into_inner(self.shared).map(|shared| shared.engine.finish());
         match fatal {
             Some(e) => Err(e),
             None => Ok(report),
@@ -374,12 +364,6 @@ impl Server {
 struct Session {
     /// Set by a successful `HELLO`; most opcodes are refused before it.
     greeted: bool,
-    /// This connection's private ingestion endpoint, created on its
-    /// first submission (under one brief engine-lock acquisition) and
-    /// reused for the connection's lifetime. Submissions push through
-    /// it without touching the engine lock, so one connection's batch
-    /// can never serialize another connection's observation requests.
-    handle: Option<SubmitHandle>,
 }
 
 /// What the dispatcher wants done with the connection after the
@@ -415,10 +399,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     });
     shared.serve.connections.add(1);
     let _live = ConnGauge(&shared.serve.connections);
-    let mut session = Session {
-        greeted: false,
-        handle: None,
-    };
+    let mut session = Session { greeted: false };
     loop {
         let line = match proto::read_record(&mut reader) {
             Ok(Some(Record::Request { line })) => line,
@@ -483,17 +464,14 @@ fn dispatch(
         "HELLO" => match args.parse::<u32>() {
             Ok(v) if v == PROTO_VERSION => {
                 session.greeted = true;
-                let guard = shared.lock_engine();
-                let body = match guard.as_ref() {
-                    Some(engine) => format!(
-                        "facepoint {PROTO_VERSION} set={} workers={} persistent={} resolution={}",
-                        engine.config().set,
-                        engine.config().resolved_workers(),
-                        engine.config().persist.is_some(),
-                        engine.config().resolution,
-                    ),
-                    None => format!("facepoint {PROTO_VERSION}"),
-                };
+                let cfg = shared.engine.config();
+                let body = format!(
+                    "facepoint {PROTO_VERSION} set={} workers={} persistent={} resolution={}",
+                    cfg.set,
+                    cfg.resolved_workers(),
+                    cfg.persist.is_some(),
+                    cfg.resolution,
+                );
                 (Status::Ok, body, Action::Continue)
             }
             Ok(v) => (
@@ -510,15 +488,22 @@ fn dispatch(
                 return (Status::Usage, "SUBMIT <table>".into(), Action::Continue);
             }
             match proto::parse_table_line(args) {
-                Ok(table) => match submit_handle(shared, session).and_then(|h| h.submit(table)) {
-                    Some(seq) => (Status::Ok, format!("seq={seq}"), Action::Continue),
+                Ok(table) => match shared.engine() {
+                    Some(engine) => (
+                        Status::Ok,
+                        format!("seq={}", engine.submit(table)),
+                        Action::Continue,
+                    ),
                     None => shutdown_reply(),
                 },
                 Err(e) => (Status::Table, e, Action::Continue),
             }
         }
-        "SUBMIT-BATCH" => submit_batch(shared, session, args, reader),
-        "SNAPSHOT" => with_engine(shared, |engine| {
+        "SUBMIT-BATCH" => submit_batch(shared, args, reader),
+        "SNAPSHOT" => {
+            let Some(engine) = shared.engine() else {
+                return shutdown_reply();
+            };
             let snap = engine.snapshot();
             (
                 Status::Ok,
@@ -531,56 +516,57 @@ fn dispatch(
                 ),
                 Action::Continue,
             )
-        }),
+        }
         "TOP" => {
             let k: usize = match args.parse() {
                 Ok(k) => k,
                 Err(_) => return (Status::Usage, "TOP <k>".into(), Action::Continue),
             };
+            let Some(engine) = shared.engine() else {
+                return shutdown_reply();
+            };
             // Clamp before touching the store: no reply can carry more
             // lines than the byte budget admits, so a huge `k` must not
-            // make `top_classes` clone and sort a huge census under the
-            // engine lock only for `top_body` to discard it.
+            // make `top_classes` clone and sort a huge census only for
+            // `top_body` to discard it.
             let k = k.min(TOP_BODY_BUDGET / TOP_MIN_LINE_LEN);
-            with_engine(shared, |engine| {
-                let body = top_body(engine.top_classes(k), TOP_BODY_BUDGET);
-                (Status::Ok, body, Action::Continue)
-            })
+            let body = top_body(engine.top_classes(k), TOP_BODY_BUDGET);
+            (Status::Ok, body, Action::Continue)
         }
         "CANON" => {
             if args.is_empty() {
                 return (Status::Usage, "CANON <table>".into(), Action::Continue);
             }
             match proto::parse_table_line(args) {
-                Ok(table) => {
-                    // Only the sealed check touches the engine lock;
-                    // the canonicalization itself (potentially a full
-                    // Gray-code walk) runs on this connection's thread
-                    // through the detached handle, so a heavy CANON
-                    // never stalls other connections' requests.
-                    if shared.lock_engine().is_none() {
-                        return shutdown_reply();
-                    }
-                    let answer = shared.canon.canon(&table);
-                    (Status::Ok, canon_body(&answer), Action::Continue)
-                }
+                Ok(table) => match shared.engine() {
+                    Some(engine) => (
+                        Status::Ok,
+                        canon_body(&engine.canon(&table)),
+                        Action::Continue,
+                    ),
+                    None => shutdown_reply(),
+                },
                 Err(e) => (Status::Table, e, Action::Continue),
             }
         }
-        "STATS" => with_engine(shared, |engine| {
-            (Status::Ok, engine.stats().to_string(), Action::Continue)
-        }),
-        "FLUSH" => with_engine(shared, |engine| {
+        "STATS" => match shared.engine() {
+            Some(engine) => (Status::Ok, engine.stats().to_string(), Action::Continue),
+            None => shutdown_reply(),
+        },
+        "FLUSH" => {
+            let Some(engine) = shared.engine() else {
+                return shutdown_reply();
+            };
             engine.flush();
             let epochs = engine.stats().durability.map_or(0, |d| d.epochs);
             (Status::Ok, format!("epochs={epochs}"), Action::Continue)
-        }),
-        // Served straight from the registry, which outlives the engine:
-        // the scrape path stays answerable even while the server drains
-        // for shutdown, so an operator can watch the drain itself.
+        }
+        // Never sealed: the scrape path stays answerable while the
+        // server drains for shutdown, so an operator can watch the
+        // drain itself.
         "METRICS" => (
             Status::Ok,
-            shared.serve.registry.render_text(),
+            shared.engine.telemetry().render_text(),
             Action::Continue,
         ),
         _ => (
@@ -653,37 +639,14 @@ fn canon_body(answer: &facepoint_engine::CanonAnswer) -> String {
     )
 }
 
-/// The connection's private [`SubmitHandle`], created on first use —
-/// the only submission-path step that takes the engine lock, and only
-/// once per connection. `None` when the engine has been sealed.
-fn submit_handle<'s>(shared: &Shared, session: &'s mut Session) -> Option<&'s mut SubmitHandle> {
-    if session.handle.is_none() {
-        session.handle = Some(shared.lock_engine().as_ref()?.submit_handle());
-    }
-    session.handle.as_mut()
-}
-
 /// The uniform `ESHUTDOWN` answer for requests that arrive after the
-/// engine is sealed (or that lose the race with `finish`).
+/// engine is sealed.
 fn shutdown_reply() -> (Status, String, Action) {
     (
         Status::Shutdown,
         "server is shutting down".into(),
         Action::Close,
     )
-}
-
-/// Runs `f` on the shared engine, or answers `ESHUTDOWN` if it has
-/// been sealed.
-fn with_engine(
-    shared: &Shared,
-    f: impl FnOnce(&mut Engine) -> (Status, String, Action),
-) -> (Status, String, Action) {
-    let mut guard = shared.lock_engine();
-    match guard.as_mut() {
-        Some(engine) => f(engine),
-        None => shutdown_reply(),
-    }
 }
 
 /// Byte budget for the tables a single batch may hold in memory
@@ -698,15 +661,9 @@ const MAX_BATCH_BYTES: usize = 1 << 26;
 /// `SUBMIT-BATCH <n>`: reads the `n` announced table frames, then
 /// submits all of them atomically — a parse failure anywhere rejects
 /// the whole batch (the frames are still consumed, keeping the stream
-/// in sync; §4.5). Submission goes through the connection's own
-/// [`SubmitHandle`]: a huge batch blocks on pool backpressure, never
-/// on the engine lock other connections need.
-fn submit_batch(
-    shared: &Shared,
-    session: &mut Session,
-    args: &str,
-    reader: &mut impl Read,
-) -> (Status, String, Action) {
+/// in sync; §4.5). A huge batch blocks only on pool backpressure,
+/// never on anything other connections need.
+fn submit_batch(shared: &Shared, args: &str, reader: &mut impl Read) -> (Status, String, Action) {
     let n: u64 = match args.parse() {
         Ok(n) if n <= MAX_BATCH => n,
         Ok(n) => {
@@ -769,10 +726,10 @@ fn submit_batch(
             Action::Continue,
         );
     }
-    match submit_handle(shared, session).and_then(|h| h.submit_batch(tables)) {
-        Some(first) => (
+    match shared.engine() {
+        Some(engine) => (
             Status::Ok,
-            format!("first={first} count={n}"),
+            format!("first={} count={n}", engine.submit_batch(tables)),
             Action::Continue,
         ),
         None => shutdown_reply(),
@@ -797,10 +754,7 @@ mod tests {
     }
 
     fn greeted() -> Session {
-        Session {
-            greeted: true,
-            handle: None,
-        }
+        Session { greeted: true }
     }
 
     fn empty() -> io::Cursor<Vec<u8>> {
@@ -813,10 +767,7 @@ mod tests {
     #[test]
     fn dispatch_covers_the_opcode_table() {
         let shared = shared();
-        let mut s = Session {
-            greeted: false,
-            handle: None,
-        };
+        let mut s = Session { greeted: false };
 
         // Pre-handshake: only HELLO, PING, QUIT.
         let (st, body, act) = dispatch(&shared, &mut s, "SNAPSHOT", &mut empty());
@@ -887,11 +838,7 @@ mod tests {
         assert!(body.starts_with("submitted=3 "), "{body}");
 
         // Drain so TOP and STATS see a complete census.
-        shared
-            .lock_engine()
-            .as_mut()
-            .unwrap()
-            .drain(Duration::from_secs(30));
+        assert!(shared.engine.drain(Duration::from_secs(30)));
         let (st, body, _) = dispatch(&shared, &mut s, "TOP 10", &mut empty());
         assert_eq!(st, Status::Ok);
         let mut lines = body.lines();
@@ -1021,16 +968,13 @@ mod tests {
     #[test]
     fn sealed_engine_answers_eshutdown() {
         let shared = shared();
-        // A connection that already holds a submit handle from before
-        // the seal must also be refused (its handle observes the
-        // closed pool).
+        // A connection that already submitted before the seal must be
+        // refused too.
         let mut veteran = greeted();
         let (st, _, _) = dispatch(&shared, &mut veteran, "SUBMIT e8", &mut empty());
         assert_eq!(st, Status::Ok);
-        assert!(veteran.handle.is_some());
         // Seal as Server::run does at shutdown.
-        let engine = shared.lock_engine().take().unwrap();
-        drop(engine.finish());
+        shared.sealed.store(true, Ordering::SeqCst);
         let (st, _, act) = dispatch(&shared, &mut veteran, "SUBMIT d4", &mut empty());
         assert_eq!((st, act), (Status::Shutdown, Action::Close));
         for op in [
@@ -1054,11 +998,14 @@ mod tests {
             &mut io::Cursor::new(frames),
         );
         assert_eq!(st, Status::Shutdown);
-        // METRICS is the exception: the registry outlives the engine,
-        // so the drain itself stays observable.
+        // METRICS is the exception, so the drain itself stays
+        // observable.
         let (st, body, act) = dispatch(&shared, &mut greeted(), "METRICS", &mut empty());
         assert_eq!((st, act), (Status::Ok, Action::Continue));
         assert!(body.contains("engine_workers "), "{body}");
+        // The seal refused the late submission: only the veteran's
+        // first one reached the engine.
+        assert_eq!(shared.engine.functions_submitted(), 1);
     }
 
     /// Every §4 opcode maps to its own latency series; unknown opcodes
@@ -1071,13 +1018,13 @@ mod tests {
                 continue;
             }
             shared.serve.op_histogram(op).record(1);
-            let text = shared.serve.registry.render_text();
+            let text = shared.engine.telemetry().render_text();
             let line = format!("{name}_count 1");
             assert!(text.lines().any(|l| l == line), "no {line} after {op}");
         }
         shared.serve.op_histogram("FROB").record(1);
         shared.serve.op_histogram("").record(1);
-        let text = shared.serve.registry.render_text();
+        let text = shared.engine.telemetry().render_text();
         assert!(
             text.lines().any(|l| l == "serve_other_nanos_count 2"),
             "{text}"

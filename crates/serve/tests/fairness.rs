@@ -2,12 +2,9 @@
 //! `SUBMIT-BATCH` must not starve another connection's observation
 //! requests.
 //!
-//! Before per-connection [`SubmitHandle`]s, the batch submitter held
-//! the single engine lock for the whole submission — including all the
-//! time it spent blocked on ingest backpressure — so a concurrent
-//! `STATS`/`SNAPSHOT` waited for the entire batch to clear. Now the
-//! batch blocks on the work-stealing pool's bounded deques while the
-//! engine lock stays free, and observation latency must stay bounded
+//! Connections share the engine with no lock around it: the batch
+//! blocks on the work-stealing pool's bounded deques while observation
+//! requests run alongside it, and their latency must stay bounded
 //! *while the batch is still in flight*.
 //!
 //! The batch is sized by a quick on-machine calibration so the busy
@@ -38,7 +35,7 @@ fn tables(n: usize, count: usize) -> Vec<TruthTable> {
 /// Classification rate of this machine/build (debug vs release differ
 /// ~30×), measured on a throwaway single-worker engine.
 fn calibrate_fns_per_sec(sample: &[TruthTable]) -> f64 {
-    let mut engine = Engine::builder()
+    let engine = Engine::builder()
         .config(EngineConfig {
             workers: 1,
             chunk_size: 32,

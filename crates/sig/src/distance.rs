@@ -149,7 +149,6 @@ pub enum MintermFilter {
 /// assert_eq!(v.flatten(), vec![0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Osdv {
     num_vars: usize,
     /// Row-major `(n+1) × n`: entry `s * n + (j - 1)`.

@@ -56,7 +56,6 @@ use std::ops::{BitOr, BitOrAssign};
 /// assert!(!set.contains(SignatureSet::OCV1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SignatureSet(u8);
 
 impl SignatureSet {
@@ -193,7 +192,6 @@ impl fmt::Display for SignatureSet {
 /// prefixed by a tag and its length), so `Eq`/`Ord`/`Hash` on the raw
 /// vector are sound.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Msv(Vec<u64>);
 
 impl Msv {

@@ -46,15 +46,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-// The derives behind this feature need a real `serde` crate, which the
-// offline build environment cannot vendor yet. Fail with a clear
-// message instead of "undeclared crate or module `serde`".
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature is declared for forward-compatibility but needs a \
-     real serde crate vendored under vendor/ first (see README.md)"
-);
-
 mod cofactor;
 mod error;
 mod hex;

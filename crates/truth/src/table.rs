@@ -31,7 +31,6 @@ use std::fmt;
 /// assert!(maj.is_balanced());
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TruthTable {
     num_vars: u8,
     words: Vec<u64>,

@@ -212,7 +212,6 @@ impl TruthTable {
 ///
 /// Stored as the image vector: `perm[i]` is where index `i` is mapped.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Permutation(Vec<u8>);
 
 impl Permutation {
@@ -314,7 +313,6 @@ impl fmt::Display for Permutation {
 /// Transforms form a group: [`NpnTransform::compose`] and
 /// [`NpnTransform::inverse`] obey `t.inverse().apply(&t.apply(&f)) == f`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NpnTransform {
     perm: Permutation,
     input_neg: u16,
