@@ -460,7 +460,7 @@ fn recover(args: &[String]) -> Result<String, CliError> {
             // One joint exact classification of stored representatives
             // and the file's tables: a stored class and a file class
             // are the same class iff their members share a label. This
-            // is robust to budget-fallback representatives, whose key
+            // is robust to capped-walk representatives, whose key
             // cannot be recomputed from an arbitrary orbit member.
             let mut joint: Vec<TruthTable> = snap
                 .classes

@@ -7,9 +7,9 @@ use crate::pool::{PoolConfig, StealPool};
 use crate::stats::{EngineSnapshot, EngineStats, RecoveryReport};
 use crate::store::{self, ClassSummary, ShardedStore, StoreTelemetry};
 use facepoint_core::{
-    fnv128, signature_key, CensusEntry, CensusView, Classification, NpnClass, SignatureKernel,
+    signature_key, CensusEntry, CensusView, Classification, Fnv128Stream, NpnClass, SignatureKernel,
 };
-use facepoint_exact::{certified_canonical, npn_match, BucketResolver};
+use facepoint_exact::{certified_canonical_with_witness, BucketResolver, CertifiedCanonical};
 use facepoint_sig::SignatureSet;
 use facepoint_telemetry::{LatencyHistogram, Registry};
 use facepoint_truth::{NpnTransform, TruthTable};
@@ -41,11 +41,10 @@ struct Job {
 /// so any process — recovery included — recomputes the same key from
 /// the stored table.
 pub fn certified_key(representative: &TruthTable) -> u128 {
-    let words = representative.words();
-    let mut data = Vec::with_capacity(1 + words.len());
-    data.push(representative.num_vars() as u64);
-    data.extend_from_slice(words);
-    fnv128(&data)
+    let mut stream = Fnv128Stream::new();
+    stream.word(representative.num_vars() as u64);
+    stream.words(representative.words());
+    stream.finish()
 }
 
 /// The worker-side state of [`Resolution::Certified`]: the shared
@@ -108,8 +107,9 @@ impl CanonHandle {
 /// The one `canon` code path, shared by [`Engine::canon`] and
 /// [`CanonHandle::canon`]: try the resolver's cached representative
 /// (certified engines only), fall back to canonicalizing `f` on the
-/// spot. Read-only — it never creates a class, counts a member or
-/// touches the stream.
+/// spot — the walk returns its witness, so no matcher pass follows.
+/// Read-only — it never creates a class, counts a member or touches the
+/// stream.
 fn answer_canon(
     store: &ShardedStore,
     certified: Option<&CertifiedResolve>,
@@ -131,8 +131,11 @@ fn answer_canon(
             };
         }
     }
-    let (representative, _) = certified_canonical(f);
-    let witness = npn_match(f, &representative).expect("a canonical form is in its own orbit");
+    let CertifiedCanonical {
+        label: representative,
+        witness,
+        ..
+    } = certified_canonical_with_witness(f);
     let key = certified_key(&representative);
     let size = if certified.is_some() {
         store.get(key).map_or(0, |(_, size)| size as u64)
@@ -458,15 +461,17 @@ impl EngineBuilder {
             .dir
             .or_else(|| self.cfg.persist.map(|p| p.dir))
             .expect("EngineBuilder::recover needs a persist directory");
-        let (maps, set_name, report) = store::recover_dir(&dir)?;
-        let (resolution, set_name) = match set_name.strip_prefix(CERTIFIED_SET_PREFIX) {
-            Some(rest) => (Resolution::Certified, rest.to_string()),
-            None => (Resolution::Digest, set_name),
+        let (maps, scheme, report) = store::recover_dir(&dir)?;
+        let (resolution, set_name) = match scheme.strip_prefix(CERTIFIED_SET_PREFIX) {
+            Some(rest) => (Resolution::Certified, rest),
+            None => (Resolution::Digest, scheme.as_str()),
         };
-        let set = SignatureSet::parse(&set_name).ok_or_else(|| {
+        // A retired certified marker lands here too: its keys digest
+        // labels of an older canonical form.
+        let set = SignatureSet::parse(set_name).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("manifest names unknown signature set {set_name:?}"),
+                format!("manifest names unknown key scheme {scheme:?}"),
             )
         })?;
         let mut classes: Vec<ClassSummary> = maps
@@ -492,8 +497,11 @@ impl EngineBuilder {
 /// Manifest key-scheme marker of a certified-resolution store. A
 /// certified store's keys are representative digests, not signature
 /// digests, so reopening it under the other resolution is refused the
-/// same way a signature-set mismatch is.
-const CERTIFIED_SET_PREFIX: &str = "certified:";
+/// same way a signature-set mismatch is. The representative is the
+/// canonical walk's label, so the marker names the canonical form too:
+/// `certified:` stores hold labels of the retired exhaustive/budgeted
+/// form and are refused like any other scheme mismatch.
+const CERTIFIED_SET_PREFIX: &str = "certified2:";
 
 impl Engine {
     /// An engine over `set` with default tuning (all cores, 64 shards,
@@ -782,10 +790,10 @@ impl Engine {
     ///
     /// In certified mode the answer comes from the resolver's cached
     /// representative when the class is known (so the key and size
-    /// match the census even for heavy-symmetry classes whose label
-    /// came from the budget fallback); otherwise — unknown class, or a
-    /// digest-mode engine — the representative is computed on the spot
-    /// and the size reported as `0`.
+    /// match the census even for a class whose label came from a capped
+    /// walk); otherwise — unknown class, or a digest-mode engine — one
+    /// canonical walk computes the representative and the witness on
+    /// the spot, and the size is reported as `0`.
     pub fn canon(&self, f: &TruthTable) -> CanonAnswer {
         answer_canon(&self.store, self.certified.as_deref(), self.cfg.set, f)
     }

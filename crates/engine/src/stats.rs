@@ -99,18 +99,16 @@ pub struct EngineStats {
     /// Resolution tier the engine ran
     /// ([`Resolution::Digest`]/[`Resolution::Certified`]).
     pub resolution: Resolution,
-    /// Certified classes created by an eager canonicalization with an
-    /// orbit-invariant label (Gray-code walk up to six variables, the
-    /// pruned walk above). `0` in digest mode.
+    /// Certified classes created by an eager canonical walk with an
+    /// orbit-invariant label. `0` in digest mode.
     pub canon_walks: u64,
     /// Members resolved against an already-cached certified
     /// representative via the exact pairwise matcher. `0` in digest
     /// mode.
     pub canon_matches: u64,
-    /// Certified classes whose label came from the deterministic
-    /// budget fallback (heavy symmetry blew the pruned walk's
-    /// transform budget; the partition is still exact). `0` in digest
-    /// mode.
+    /// Certified classes whose label came from a capped walk (more
+    /// post-collapse work than the walk's adversarial-input budget;
+    /// the partition is still exact). `0` in digest mode.
     pub canon_fallbacks: u64,
 }
 

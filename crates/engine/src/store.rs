@@ -411,9 +411,10 @@ impl ShardedStore {
     /// # Errors
     ///
     /// I/O errors, a manifest recorded under a different key scheme
-    /// (`set_name` names the signature set, prefixed `certified:` for a
-    /// certified-resolution store — keys of different schemes would be
-    /// incomparable), or corruption outside a log tail.
+    /// (`set_name` names the signature set, prefixed by a marker such
+    /// as `certified2:` for a certified-resolution store — keys of
+    /// different schemes would be incomparable), or corruption outside
+    /// a log tail.
     pub fn open_durable(
         persist: &PersistConfig,
         default_shards: usize,

@@ -5,6 +5,7 @@
 //! re-walked) and the cross-mode reopen refusal.
 
 use facepoint_bench::{random_workload, transform_closure_workload};
+use facepoint_core::wire::{Record, WIRE_VERSION};
 use facepoint_engine::{certified_key, Engine, EngineConfig, EngineReport, Resolution};
 use facepoint_exact::{certified_canonical, exact_classify, ClassLabels};
 use facepoint_sig::SignatureSet;
@@ -337,5 +338,62 @@ fn cross_mode_reopen_is_refused() {
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A store written under the retired `certified:` marker keys its
+    // classes by labels of the old canonical form: reopening and
+    // recovering both refuse it, like a cross-mode reopen.
+    let dir = scratch_dir("certified-v1");
+    let engine = Engine::builder()
+        .config(certified_cfg(1))
+        .persist(&dir)
+        .build()
+        .unwrap();
+    engine.submit(TruthTable::majority(3));
+    engine.finish();
+    let shards = Engine::recover(&dir).unwrap().report.shards;
+    let mut manifest = Vec::new();
+    Record::Manifest {
+        version: WIRE_VERSION,
+        shards: shards as u32,
+        set: format!("certified:{}", certified_cfg(1).set),
+    }
+    .encode(&mut manifest);
+    std::fs::write(dir.join("store.meta"), manifest).unwrap();
+    let err = match Engine::builder()
+        .config(certified_cfg(1))
+        .persist(&dir)
+        .build()
+    {
+        Ok(_) => panic!("a certified: store must be refused"),
+        Err(err) => err,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let err = Engine::recover(&dir).expect_err("a certified: store must not recover");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Store keys on disk are `certified_key` digests, so the derivation
+/// must stay byte-for-byte stable: these literals were computed by the
+/// implementation that hashed a collected `Vec` of the arity word and
+/// the table words.
+#[test]
+fn certified_key_digests_are_pinned() {
+    for (table, key) in [
+        (
+            TruthTable::majority(3),
+            0xe37b_67c5_f016_43ac_05e4_5a44_2c17_3e66_u128,
+        ),
+        (
+            TruthTable::from_hex(6, "6996966996696996").unwrap(),
+            0x5399_3068_f0e4_9690_39f7_cac9_bbaf_f4c3,
+        ),
+        (
+            TruthTable::parity(8),
+            0xf117_274b_36d5_39ac_9aed_fa23_953d_8cc5,
+        ),
+    ] {
+        assert_eq!(certified_key(&table), key, "{table}");
     }
 }

@@ -8,9 +8,17 @@
 //! output polarities — `n!·2^n` states, two comparisons each, with O(1)
 //! table updates between states.
 //!
-//! Cost grows as `n!·2^n`: microseconds up to `n = 5`, ~milliseconds at
-//! `n = 6`, ~a second at `n = 8`. Beyond that use
-//! [`exact_classify`](crate::exact_classify), which needs no canonical form.
+//! This walk is the ground-truth oracle — of the tests, of
+//! [`exact_classify_canonical`](crate::exact_classify_canonical) and of
+//! the CLI's `canon --method exact` — and nothing else: certified
+//! resolution and `CANON` run the influence-aided walk of
+//! [`certified_canonical`](crate::certified_canonical), which reaches a
+//! different (profile-normalized) minimum of the same orbit in about a
+//! microsecond. Cost here grows as `n!·2^n`: microseconds up to
+//! `n = 5`, ~120 µs at `n = 6`, tens of milliseconds at `n = 7` and
+//! about half a second at `n = 8` (2-thread Xeon VM, release build).
+//! Beyond that use [`exact_classify`](crate::exact_classify), which needs
+//! no canonical form.
 
 use crate::enumerate::{factorial, gray_flip_bit, plain_changes};
 use facepoint_truth::words::{flip_var_word, swap_vars_word, valid_bits_mask, WORD_VARS};

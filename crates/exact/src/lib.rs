@@ -5,12 +5,17 @@
 //! paper *"Rethinking NPN Classification from Face and Point
 //! Characteristics of Boolean Functions"* (arXiv:2301.12122).
 //!
-//! Three layers of exactness:
+//! Four layers of exactness:
 //!
 //! * [`exact_npn_canonical`] — the complete-and-unique canonical form by
 //!   exhaustive walk over all `n!·2^{n+1}` transforms (plain-changes ×
 //!   Gray code, O(1) table updates per step). The "Kitty" ground truth of
-//!   Table III, practical up to `n ≈ 8`.
+//!   Table III, practical up to `n ≈ 8`; the oracle of the next layer.
+//! * [`certified_canonical`] — a class-invariant canonical form at every
+//!   arity from one influence-aided walk: cofactor counts and influence
+//!   pin polarity, phases and variable order, swap-symmetric variables
+//!   collapse into blocks, and only the remaining ties are enumerated,
+//!   in place, with a witness transform.
 //! * [`npn_match`] — a pairwise exact decision procedure: backtracking
 //!   over variable correspondences with cofactor/influence pruning,
 //!   returning a witness [`NpnTransform`](facepoint_truth::NpnTransform).
@@ -55,5 +60,8 @@ pub use exhaustive::{
     canonical_u64, exact_npn_canonical, exact_npn_canonical_with_witness, exhaustive_states,
 };
 pub use matcher::{are_npn_equivalent, npn_match, p_match, pn_match};
-pub use resolver::{certified_canonical, BucketResolver, Resolved};
+pub use resolver::{
+    certified_canonical, certified_canonical_with_witness, BucketResolver, CertifiedCanonical,
+    Resolved,
+};
 pub use unionfind::UnionFind;

@@ -1,60 +1,90 @@
-//! The exact resolution tier: digest buckets resolved into proved NPN
-//! classes.
+//! One canonical walk at every arity, and the exact resolution tier
+//! built on it: digest buckets resolved into proved NPN classes.
+//!
+//! [`certified_canonical`] labels `f` with the minimum over its
+//! *profile-normalized orbit*: the orbit members whose output has the
+//! smaller ones-count, whose every input has its smaller cofactor count
+//! on the `x = 0` face, and whose variables appear in non-decreasing
+//! (cofactor pair, influence) profile order. Those conditions are read
+//! off a table alone, so all members of a class share one normalized
+//! orbit and one minimum — the face/point characteristics of the paper,
+//! applied to the canonical form itself as in *Fast Exact NPN
+//! Classification with Influence-aided Canonical Form*. The walk pins
+//! what the profiles pin (polarity, phases, order), collapses
+//! swap-symmetric variables of a profile tie group into one block, and
+//! evaluates only the remaining block arrangements × free phases, in
+//! place on one working table, keeping the transform that reached the
+//! minimum as the witness. The exhaustive walk
+//! ([`exact_npn_canonical`](crate::exact_npn_canonical)) is the oracle
+//! it is tested against.
 //!
 //! Signature digests are *necessary* conditions for NPN equivalence, so
 //! a digest bucket can merge — never split — true classes. This module
 //! promotes a bucket to certainty: [`BucketResolver`] keeps, per digest
 //! key, the certified representatives discovered so far; a bucket's
-//! first member is canonicalized eagerly with [`certified_canonical`]
-//! (the adjacent-transposition/flip Gray-code walk up to six variables,
-//! an influence/cofactor-pruned walk above), and later members take the
-//! cheap exact [`npn_match`](crate::npn_match) witness path against the
-//! cached representatives. The matcher is exact in both directions, so
-//! the resulting partition is the true NPN partition whatever the
-//! canonical labels look like.
+//! first member is canonicalized eagerly by the walk, and later members
+//! take the cheap exact [`npn_match`](crate::npn_match) witness path
+//! against the cached representatives. The matcher is exact in both
+//! directions, so the resulting partition is the true NPN partition
+//! whatever the canonical labels look like.
 
-use crate::exhaustive::exact_npn_canonical;
 use crate::matcher::npn_match;
 use facepoint_sig::influence;
+use facepoint_sig::symmetry::{e_symmetric, ne_symmetric};
+use facepoint_truth::words::MAX_VARS;
 use facepoint_truth::{NpnTransform, Permutation, TruthTable};
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Word-sized arity bound below which the exhaustive Gray-code walk is
-/// cheap enough to run per class (`6!·2^6 = 46080` states, all on one
-/// `u64`).
-const EXHAUSTIVE_MAX_VARS: usize = 6;
+/// Work budget of the canonical walk, in candidate evaluations: a
+/// guard against adversarial inputs, past which only the first
+/// candidate is evaluated and the label is reported non-invariant.
+/// Every post-collapse candidate counts one unit, and every step to the
+/// next block arrangement [`ARRANGEMENT_STEP`] more.
+///
+/// Sized so that a walk at the budget costs no more at n = 8 than the
+/// allocating 4,096-candidate enumeration it replaced. Three
+/// interleaved runs on a 2-thread Xeon VM (release build): that
+/// enumeration took 10.2, 10.4 and 12.5 ms (medians over 2.2–3.5 µs
+/// per candidate), and the walk spent at most 12.0, 10.0 and 12.9 ns
+/// per unit on functions of 10^4–10^7 units, so the budget costs
+/// 9.4, 7.9 and 10.1 ms. It covers the costliest of the synthetic
+/// suite's 22,406 support-8 cut functions,
+/// `(x0⊕x4)(x1⊕x5)(x2⊕x6)(x3⊕x7)` (2,520 arrangements × 2^8 phases,
+/// 652,680 units).
+const WALK_BUDGET: u64 = 3 << 18;
 
-/// Transform-count budget of the pruned walk above six variables.
-/// Random functions have near-unique variable profiles and pinned
-/// phases, so their candidate set is tiny; only highly symmetric
-/// functions blow this budget and fall back to the deterministic
-/// semi-canonical label (the partition stays exact either way — class
-/// membership is decided by the matcher, never by label equality).
-const CANON_BUDGET: u64 = 4096;
+/// Budget units of one arrangement step (usually one or two variable
+/// swaps): at n = 8 a step took 20–30 ns, a phase flip with its
+/// comparison 6–13 ns.
+const ARRANGEMENT_STEP: u64 = 3;
 
 /// Number of resolver shards (the bucket maps are sharded by the
 /// digest's high bits, like the partition store, so workers resolving
 /// different buckets rarely contend).
 const RESOLVER_SHARDS: usize = 16;
 
+/// What the canonical walk returns: the label, the transform reaching
+/// it, and whether the label is class-invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CertifiedCanonical {
+    /// The minimum over the profile-normalized orbit (the first
+    /// normalized candidate when [`invariant`](Self::invariant) is
+    /// `false`).
+    pub label: TruthTable,
+    /// A transform `t` with `t.apply(f) == label`.
+    pub witness: NpnTransform,
+    /// `false` only when the walk's post-collapse work exceeds its
+    /// budget. The work is an orbit invariant, so every member of a
+    /// class gets the same verdict.
+    pub invariant: bool,
+}
+
 /// The certified canonical representative of `f`, plus whether the
-/// label is class-invariant.
-///
-/// * `n ≤ 6`: the exhaustive Gray-code walk
-///   ([`exact_npn_canonical`]) — the globally minimal orbit element,
-///   always invariant.
-/// * `n ≥ 7`: the minimum over the *pruned* transform set — output
-///   polarity normalized to the smaller ones-count, every input phase
-///   normalized to the smaller cofactor side, variables sorted by
-///   their (cofactor pair, influence) profile; only ties contribute
-///   enumeration. The pruning conditions are NPN-orbit invariants, so
-///   this minimum is a class invariant too. When the tie groups are so
-///   large that the candidate count exceeds the internal budget (heavy
-///   symmetry), the first pruned arrangement is returned instead and
-///   the flag is `false`: still deterministic per function, no longer
-///   guaranteed identical across class members.
+/// label is class-invariant — [`certified_canonical_with_witness`]
+/// without the witness.
 ///
 /// Two NPN-equivalent functions receive equal labels whenever the flag
 /// is `true` for their class (the flag itself is orbit-invariant).
@@ -76,207 +106,344 @@ const RESOLVER_SHARDS: usize = 16;
 /// # Ok::<(), facepoint_truth::Error>(())
 /// ```
 pub fn certified_canonical(f: &TruthTable) -> (TruthTable, bool) {
-    let n = f.num_vars();
-    if n <= EXHAUSTIVE_MAX_VARS {
-        return (exact_npn_canonical(f), true);
-    }
-    let ones = f.count_ones();
-    let total = f.num_bits();
-    // Output polarity: canonicalize to the smaller ones-count; both
-    // when balanced.
-    let mut polarities: Vec<TruthTable> = Vec::with_capacity(2);
-    if 2 * ones <= total {
-        polarities.push(f.clone());
-    }
-    if 2 * ones >= total {
-        polarities.push(f.negated());
-    }
-    let plans: Vec<PrunedPlan> = polarities.iter().map(PrunedPlan::new).collect();
-    let candidates: u128 = plans.iter().map(PrunedPlan::candidates).sum();
-    let within_budget = candidates <= u128::from(CANON_BUDGET);
-    let mut best: Option<TruthTable> = None;
-    for (h, plan) in polarities.iter().zip(&plans) {
-        if within_budget {
-            plan.for_each_candidate(h, |cand| match &best {
-                Some(b) if *b <= cand => {}
-                _ => best = Some(cand),
-            });
-        } else {
-            let cand = plan.first_candidate(h);
-            match &best {
-                Some(b) if *b <= cand => {}
-                _ => best = Some(cand),
-            }
-        }
-    }
-    (best.expect("at least one polarity"), within_budget)
+    let canonical = certified_canonical_with_witness(f);
+    (canonical.label, canonical.invariant)
 }
 
-/// Per-variable orbit-invariant profile: the unordered cofactor-count
-/// pair plus the influence (the same pruning data the pairwise matcher
-/// uses).
-#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
-struct Profile {
-    cof_lo: u64,
-    cof_hi: u64,
-    influence: u32,
+/// The influence-aided canonical walk: the minimum over the
+/// profile-normalized orbit of `f` — its orbit members whose output
+/// has the smaller ones-count, whose every input has its smaller
+/// cofactor count on the `x = 0` face, and whose variables appear in
+/// non-decreasing (cofactor pair, influence) order — and the transform
+/// that reaches it.
+///
+/// The cost is the post-collapse candidate count — one for most random
+/// functions, hundreds to thousands for heavily symmetric ones — times
+/// one in-place table update each, plus three allocations per call
+/// however many candidates there are.
+///
+/// # Examples
+///
+/// ```
+/// use facepoint_exact::certified_canonical_with_witness;
+/// use facepoint_truth::TruthTable;
+///
+/// let f = TruthTable::majority(5).flip_var(3);
+/// let canon = certified_canonical_with_witness(&f);
+/// assert!(canon.invariant);
+/// assert_eq!(canon.witness.apply(&f), canon.label);
+/// assert_eq!(canon.label, certified_canonical_with_witness(&TruthTable::majority(5)).label);
+/// ```
+pub fn certified_canonical_with_witness(f: &TruthTable) -> CertifiedCanonical {
+    // Output polarity: the smaller ones-count; both when balanced.
+    let polarities: &[bool] = match (2 * f.count_ones()).cmp(&f.num_bits()) {
+        CmpOrdering::Less => &[false],
+        CmpOrdering::Greater => &[true],
+        CmpOrdering::Equal => &[false, true],
+    };
+    let mut work = f.clone();
+    let mut plans = [Plan::default(); 2];
+    let plans = &mut plans[..polarities.len()];
+    for (plan, &negate) in plans.iter_mut().zip(polarities) {
+        *plan = Plan::new(f, negate, &mut work);
+    }
+    let cost = plans
+        .iter()
+        .fold(0u64, |sum, plan| sum.saturating_add(plan.cost()));
+    let invariant = cost <= WALK_BUDGET;
+    let mut best = Best {
+        table: f.clone(),
+        found: false,
+        negate: false,
+        neg: 0,
+        order: [0; MAX_VARS],
+    };
+    for plan in plans.iter() {
+        plan.walk(f, &mut work, &mut best, invariant);
+    }
+    best.into_canonical(f.num_vars(), invariant)
 }
 
-/// The pruned transform set of one output polarity: which variables
-/// tie on profile (permutation freedom) and which tie on cofactor
-/// counts (phase freedom).
-struct PrunedPlan {
-    /// Variables in non-decreasing profile order (stable).
-    order: Vec<usize>,
-    /// Maximal runs of equal profiles within `order`, as `(start, end)`
-    /// ranges; only runs longer than 1 contribute permutations.
-    groups: Vec<(usize, usize)>,
-    /// Per variable: `Some(bit)` when the phase is pinned by unequal
-    /// cofactor counts, `None` when both phases must be explored.
-    phase: Vec<Option<bool>>,
+/// One output polarity's share of the walk: what the profiles pin and
+/// what is left to enumerate.
+#[derive(Clone, Copy, Default)]
+struct Plan {
+    /// Whether this polarity complements the output.
+    negate: bool,
+    /// Input phases pinned by unequal cofactor counts: bit `v` flips
+    /// variable `v` so that its smaller count lies on the `x_v = 0`
+    /// face.
+    pinned: u16,
+    /// The first arrangement: `start[j]` is the variable at position
+    /// `j` — profile order, each block contiguous.
+    start: [u8; MAX_VARS],
+    /// Block id of every variable; ids ascend along `start`.
+    block: [u8; MAX_VARS],
+    /// Position ranges of the tie groups holding more than one block —
+    /// the only ones whose arrangement varies.
+    groups: [(u8, u8); MAX_VARS],
+    num_groups: usize,
+    /// Positions whose phase is free: support variables with equal
+    /// cofactor counts.
+    free: [u8; MAX_VARS],
+    num_free: usize,
+    /// Distinct block arrangements.
+    arrangements: u64,
 }
 
-impl PrunedPlan {
-    fn new(h: &TruthTable) -> Self {
-        let n = h.num_vars();
-        let profiles: Vec<Profile> = (0..n)
-            .map(|v| {
-                let c0 = h.cofactor_count(v, false);
-                let c1 = h.cofactor_count(v, true);
-                Profile {
-                    cof_lo: c0.min(c1),
-                    cof_hi: c0.max(c1),
-                    influence: influence(h, v),
-                }
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| profiles[v]);
-        let mut groups = Vec::new();
-        let mut start = 0;
-        for i in 1..=n {
-            if i == n || profiles[order[i]] != profiles[order[start]] {
-                groups.push((start, i));
-                start = i;
+impl Plan {
+    /// Builds the plan of one polarity, leaving `work` holding its
+    /// phase-pinned table in identity order.
+    fn new(f: &TruthTable, negate: bool, work: &mut TruthTable) -> Plan {
+        let n = f.num_vars();
+        work.clone_from(f);
+        if negate {
+            work.negate_in_place();
+        }
+        let mut plan = Plan {
+            negate,
+            arrangements: 1,
+            ..Plan::default()
+        };
+        let mut profile = [(0u64, 0u64, 0u32); MAX_VARS];
+        for (v, slot) in profile[..n].iter_mut().enumerate() {
+            let c0 = work.cofactor_count(v, false);
+            let c1 = work.cofactor_count(v, true);
+            *slot = (c0.min(c1), c0.max(c1), influence(work, v));
+            if c0 > c1 {
+                plan.pinned |= 1 << v;
             }
         }
-        let phase: Vec<Option<bool>> = (0..n)
-            .map(|v| {
-                let c0 = h.cofactor_count(v, false);
-                let c1 = h.cofactor_count(v, true);
-                match c0.cmp(&c1) {
-                    std::cmp::Ordering::Less => Some(false),
-                    std::cmp::Ordering::Greater => Some(true),
-                    std::cmp::Ordering::Equal => None,
-                }
-            })
-            .collect();
-        PrunedPlan {
-            order,
-            groups,
-            phase,
+        plan.pin(work);
+        for (v, slot) in plan.start[..n].iter_mut().enumerate() {
+            *slot = v as u8;
         }
-    }
-
-    /// Number of transforms this plan enumerates:
-    /// `∏ tie-group! · 2^(phase ties)`.
-    fn candidates(&self) -> u128 {
-        let mut count: u128 = 1;
-        for &(start, end) in &self.groups {
-            for k in 2..=(end - start) as u128 {
-                count = count.saturating_mul(k);
+        plan.start[..n].sort_unstable_by_key(|&v| (profile[usize::from(v)], v));
+        // Split each profile tie group into swap-symmetry blocks of the
+        // phase-pinned table. A free-phase group also merges skew
+        // (E-)symmetric pairs: the phase sweep covers the flips they
+        // need. Pinned variables are never skew-symmetric — the skew
+        // swap would exchange their unequal cofactor counts.
+        let mut first_member = [0u8; MAX_VARS];
+        let mut blocks = 0usize;
+        let mut lo = 0;
+        while lo < n {
+            let p = profile[usize::from(plan.start[lo])];
+            let hi = lo
+                + plan.start[lo..n]
+                    .iter()
+                    .take_while(|&&v| profile[usize::from(v)] == p)
+                    .count();
+            let free = p.0 == p.1 && p.2 > 0;
+            let group_blocks = blocks;
+            for i in lo..hi {
+                let v = usize::from(plan.start[i]);
+                let joined = (group_blocks..blocks).find(|&b| {
+                    let r = usize::from(first_member[b]);
+                    ne_symmetric(work, r, v) || (free && e_symmetric(work, r, v))
+                });
+                let b = joined.unwrap_or_else(|| {
+                    first_member[blocks] = v as u8;
+                    blocks += 1;
+                    blocks - 1
+                });
+                plan.block[v] = b as u8;
             }
-        }
-        let free_phases = self.phase.iter().filter(|p| p.is_none()).count();
-        count.saturating_mul(1u128 << free_phases.min(127))
-    }
-
-    /// Applies the arrangement `order` (position `j` reads variable
-    /// `order[j]`) with the phase mask `neg` to `h`.
-    fn apply(h: &TruthTable, order: &[usize], neg: u16) -> TruthTable {
-        let mut assignment = vec![0usize; order.len()];
-        for (pos, &var) in order.iter().enumerate() {
-            assignment[var] = pos;
-        }
-        let perm = Permutation::from_slice(&assignment).expect("bijective arrangement");
-        NpnTransform::new(perm, neg, false).apply(h)
-    }
-
-    /// The single deterministic candidate used when the budget is
-    /// blown: profile-sorted order, pinned-or-false phases.
-    fn first_candidate(&self, h: &TruthTable) -> TruthTable {
-        let neg = self.pinned_neg();
-        Self::apply(h, &self.order, neg)
-    }
-
-    fn pinned_neg(&self) -> u16 {
-        let mut neg = 0u16;
-        for (v, p) in self.phase.iter().enumerate() {
-            if *p == Some(true) {
-                neg |= 1 << v;
+            let group = &mut plan.start[lo..hi];
+            group.sort_unstable_by_key(|&v| (plan.block[usize::from(v)], v));
+            plan.arrangements = plan
+                .arrangements
+                .saturating_mul(arrangements(group, &plan.block));
+            if blocks - group_blocks > 1 {
+                plan.groups[plan.num_groups] = (lo as u8, hi as u8);
+                plan.num_groups += 1;
             }
-        }
-        neg
-    }
-
-    /// Enumerates every candidate table of the pruned set.
-    fn for_each_candidate(&self, h: &TruthTable, mut visit: impl FnMut(TruthTable)) {
-        let free: Vec<usize> = (0..self.phase.len())
-            .filter(|&v| self.phase[v].is_none())
-            .collect();
-        let pinned = self.pinned_neg();
-        let mut order = self.order.clone();
-        let groups = self.groups.clone();
-        // Recursively permute each tie group in place; at the leaf,
-        // sweep the free-phase odometer.
-        fn descend(
-            h: &TruthTable,
-            order: &mut [usize],
-            groups: &[(usize, usize)],
-            free: &[usize],
-            pinned: u16,
-            visit: &mut impl FnMut(TruthTable),
-        ) {
-            match groups.split_first() {
-                None => {
-                    for mask in 0u32..(1u32 << free.len()) {
-                        let mut neg = pinned;
-                        for (bit, &v) in free.iter().enumerate() {
-                            if (mask >> bit) & 1 == 1 {
-                                neg |= 1 << v;
-                            }
-                        }
-                        visit(PrunedPlan::apply(h, order, neg));
-                    }
-                }
-                Some((&(start, end), rest)) => {
-                    // Heap-style recursive permutation of order[start..end].
-                    #[allow(clippy::too_many_arguments)]
-                    fn permute(
-                        h: &TruthTable,
-                        order: &mut [usize],
-                        lo: usize,
-                        hi: usize,
-                        rest: &[(usize, usize)],
-                        free: &[usize],
-                        pinned: u16,
-                        visit: &mut impl FnMut(TruthTable),
-                    ) {
-                        if lo + 1 >= hi {
-                            descend(h, order, rest, free, pinned, visit);
-                            return;
-                        }
-                        for i in lo..hi {
-                            order.swap(lo, i);
-                            permute(h, order, lo + 1, hi, rest, free, pinned, visit);
-                            order.swap(lo, i);
-                        }
-                    }
-                    permute(h, order, start, end, rest, free, pinned, visit);
+            if free {
+                for j in lo..hi {
+                    plan.free[plan.num_free] = j as u8;
+                    plan.num_free += 1;
                 }
             }
+            lo = hi;
         }
-        descend(h, &mut order, &groups, &free, pinned, &mut visit);
+        plan
+    }
+
+    /// The walk's work in candidate evaluations (see [`WALK_BUDGET`]):
+    /// every arrangement takes one step and then sweeps the free phases.
+    fn cost(&self) -> u64 {
+        self.arrangements
+            .saturating_mul(ARRANGEMENT_STEP + (1 << self.num_free))
+    }
+
+    /// Flips the pinned input phases of `work`.
+    fn pin(&self, work: &mut TruthTable) {
+        let mut pinned = self.pinned;
+        while pinned != 0 {
+            work.flip_var_in_place(pinned.trailing_zeros() as usize);
+            pinned &= pinned - 1;
+        }
+    }
+
+    /// Offers this polarity's candidates to `best` — all of them when
+    /// `exhaustive`, else only the first. Consecutive candidates differ
+    /// by one input flip, or by the few swaps of one arrangement step,
+    /// applied to the same working table.
+    fn walk(&self, f: &TruthTable, work: &mut TruthTable, best: &mut Best, exhaustive: bool) {
+        let mut cur = self.first_arrangement(f, work);
+        let free = &self.free[..self.num_free];
+        loop {
+            best.offer(work, self, &cur, 0);
+            if !exhaustive {
+                return;
+            }
+            // Free phases in Gray-code order.
+            let mut mask = 0u32;
+            for g in 1..1u32 << free.len() {
+                let bit = g.trailing_zeros() as usize;
+                work.flip_var_in_place(usize::from(free[bit]));
+                mask ^= 1 << bit;
+                best.offer(work, self, &cur, mask);
+            }
+            if let Some(&last) = free.last() {
+                // The Gray walk ends at phase 100…0; one more flip
+                // restores 0.
+                work.flip_var_in_place(usize::from(last));
+            }
+            if !self.advance(work, &mut cur) {
+                return;
+            }
+        }
+    }
+
+    /// Resets `work` to this polarity's phase-pinned table in the first
+    /// arrangement and returns `cur`: `cur[j]` is the variable `work`
+    /// reads at position `j`.
+    fn first_arrangement(&self, f: &TruthTable, work: &mut TruthTable) -> [u8; MAX_VARS] {
+        let n = f.num_vars();
+        work.clone_from(f);
+        if self.negate {
+            work.negate_in_place();
+        }
+        self.pin(work);
+        let mut cur: [u8; MAX_VARS] = std::array::from_fn(|j| j as u8);
+        for j in 0..n {
+            let k = (j..n)
+                .find(|&k| cur[k] == self.start[j])
+                .expect("`start` is a permutation");
+            if k != j {
+                work.swap_vars_in_place(j, k);
+                cur.swap(j, k);
+            }
+        }
+        cur
+    }
+
+    /// Steps to the next block arrangement — an odometer over the
+    /// varying groups, each running through its distinct block
+    /// sequences in lexicographic order — swapping the variables of
+    /// `work` along with `cur`. `false` once all were visited, with
+    /// every group back at its first arrangement.
+    fn advance(&self, work: &mut TruthTable, cur: &mut [u8; MAX_VARS]) -> bool {
+        self.groups[..self.num_groups]
+            .iter()
+            .rev()
+            .any(|&(lo, hi)| self.next_in_group(work, cur, usize::from(lo), usize::from(hi)))
+    }
+
+    /// The next permutation of the block sequence at positions
+    /// `lo..hi` (past the last one, back to sorted order, returning
+    /// `false`). Swaps of two members of one block are skipped: they
+    /// leave the block sequence as it is.
+    fn next_in_group(
+        &self,
+        work: &mut TruthTable,
+        cur: &mut [u8; MAX_VARS],
+        lo: usize,
+        hi: usize,
+    ) -> bool {
+        let block = |cur: &[u8; MAX_VARS], j: usize| self.block[usize::from(cur[j])];
+        let mut swap = |cur: &mut [u8; MAX_VARS], a: usize, b: usize| {
+            if block(cur, a) != block(cur, b) {
+                work.swap_vars_in_place(a, b);
+                cur.swap(a, b);
+            }
+        };
+        let pivot = (lo + 1..hi)
+            .rev()
+            .find(|&i| block(cur, i - 1) < block(cur, i));
+        if let Some(i) = pivot {
+            let j = (i..hi)
+                .rev()
+                .find(|&j| block(cur, j) > block(cur, i - 1))
+                .expect("position i qualifies");
+            swap(cur, i - 1, j);
+        }
+        // Reverse the tail after the pivot (the whole group when none).
+        let (mut a, mut b) = (pivot.unwrap_or(lo), hi - 1);
+        while a < b {
+            swap(cur, a, b);
+            a += 1;
+            b -= 1;
+        }
+        pivot.is_some()
+    }
+}
+
+/// Distinct arrangements of a block-sorted tie group: the multinomial
+/// `m! / ∏ kᵢ!` over its block sizes `kᵢ`.
+fn arrangements(group: &[u8], block: &[u8; MAX_VARS]) -> u64 {
+    let mut count = 1u64;
+    let mut run = 0u64;
+    for (i, &v) in group.iter().enumerate() {
+        let same = i > 0 && block[usize::from(v)] == block[usize::from(group[i - 1])];
+        run = if same { run + 1 } else { 1 };
+        // Stays integral: after `i + 1` members this is the multinomial
+        // of the prefix.
+        count = count * (i as u64 + 1) / run;
+    }
+    count
+}
+
+/// The walk's running minimum and the transform that reached it.
+struct Best {
+    table: TruthTable,
+    found: bool,
+    negate: bool,
+    /// Input negations, in `f`'s variables.
+    neg: u16,
+    /// `order[j]`: the variable of `f` at position `j`.
+    order: [u8; MAX_VARS],
+}
+
+impl Best {
+    fn offer(&mut self, work: &TruthTable, plan: &Plan, cur: &[u8; MAX_VARS], mask: u32) {
+        if self.found && *work >= self.table {
+            return;
+        }
+        self.table.clone_from(work);
+        self.found = true;
+        self.negate = plan.negate;
+        self.order = *cur;
+        self.neg = plan.pinned;
+        for (bit, &pos) in plan.free[..plan.num_free].iter().enumerate() {
+            if (mask >> bit) & 1 == 1 {
+                self.neg |= 1 << cur[usize::from(pos)];
+            }
+        }
+    }
+
+    fn into_canonical(self, n: usize, invariant: bool) -> CertifiedCanonical {
+        let mut perm = [0usize; MAX_VARS];
+        for (pos, &var) in self.order[..n].iter().enumerate() {
+            perm[usize::from(var)] = pos;
+        }
+        let perm = Permutation::from_slice(&perm[..n]).expect("an arrangement is a bijection");
+        CertifiedCanonical {
+            label: self.table,
+            witness: NpnTransform::new(perm, self.neg, self.negate),
+            invariant,
+        }
     }
 }
 
@@ -416,8 +583,8 @@ impl BucketResolver {
             .sum()
     }
 
-    /// Eager Gray-code/pruned-walk canonicalizations performed (class
-    /// creations with an invariant label).
+    /// Eager canonical walks performed (class creations with an
+    /// invariant label).
     pub fn walks(&self) -> u64 {
         self.walks.load(Ordering::Relaxed)
     }
@@ -428,8 +595,10 @@ impl BucketResolver {
         self.matches.load(Ordering::Relaxed)
     }
 
-    /// Class creations that fell back to the semi-canonical label
-    /// because the pruned walk's budget was exceeded (heavy symmetry).
+    /// Class creations whose label is not class-invariant because the
+    /// walk's post-collapse work exceeded its budget — an
+    /// adversarial-input guard that none of the stress-tested symmetric
+    /// families (threshold, majority, parity, bent; n ≤ 10) reaches.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
     }
@@ -441,15 +610,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every function of up to four variables: the walk's labels induce
+    /// the exhaustive walk's partition (1/2/4/14/222 classes), every
+    /// label is its own label, and every witness maps `f` onto it.
     #[test]
     fn small_arities_use_the_exact_walk() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for n in 0..=6usize {
-            for _ in 0..6 {
-                let f = TruthTable::random(n, &mut rng).unwrap();
-                let (canon, invariant) = certified_canonical(&f);
-                assert!(invariant, "n = {n}");
-                assert_eq!(canon, exact_npn_canonical(&f), "n = {n}, f = {f}");
+        for (n, classes) in [(0usize, 1usize), (1, 2), (2, 4), (3, 14), (4, 222)] {
+            let mut by_exact: HashMap<TruthTable, TruthTable> = HashMap::new();
+            let mut by_label: HashMap<TruthTable, TruthTable> = HashMap::new();
+            for bits in 0..1u64 << (1usize << n) {
+                let f = TruthTable::from_u64(n, bits).unwrap();
+                let canon = certified_canonical_with_witness(&f);
+                assert!(canon.invariant, "n = {n}");
+                assert_eq!(canon.witness.apply(&f), canon.label, "f = {f}");
+                let exact = crate::exact_npn_canonical(&f);
+                let label = by_exact
+                    .entry(exact.clone())
+                    .or_insert_with(|| canon.label.clone());
+                assert_eq!(*label, canon.label, "one exact class, two labels: f = {f}");
+                let class = by_label.entry(canon.label.clone()).or_insert(exact.clone());
+                assert_eq!(*class, exact, "one label, two exact classes: f = {f}");
+            }
+            assert_eq!(by_label.len(), classes, "n = {n}");
+            for label in by_label.keys() {
+                assert_eq!(certified_canonical(label), (label.clone(), true));
             }
         }
     }
@@ -457,17 +641,17 @@ mod tests {
     #[test]
     fn pruned_walk_is_npn_invariant() {
         let mut rng = StdRng::seed_from_u64(43);
-        for n in 7..=8usize {
+        for n in 2..=8usize {
             for _ in 0..12 {
                 let f = TruthTable::random(n, &mut rng).unwrap();
                 let t = NpnTransform::random(n, &mut rng);
                 let g = t.apply(&f);
-                let (cf, inv_f) = certified_canonical(&f);
-                let (cg, inv_g) = certified_canonical(&g);
-                assert_eq!(inv_f, inv_g, "budget verdict is orbit-invariant");
-                if inv_f {
-                    assert_eq!(cf, cg, "n = {n}, f = {f}, t = {t}");
-                }
+                let cf = certified_canonical_with_witness(&f);
+                let cg = certified_canonical_with_witness(&g);
+                assert!(cf.invariant && cg.invariant, "n = {n}");
+                assert_eq!(cf.label, cg.label, "n = {n}, f = {f}, t = {t}");
+                assert_eq!(cf.witness.apply(&f), cf.label);
+                assert_eq!(cg.witness.apply(&g), cg.label);
             }
         }
     }
@@ -485,14 +669,74 @@ mod tests {
         }
     }
 
+    /// Symmetry is collapsed, not budgeted: parity(8), whose profiles
+    /// all tie, walks 2 polarities × 2^8 phases of one block. Only work
+    /// past the budget still falls back — bent(14) keeps
+    /// 14!/2^7 arrangements of its seven swap-symmetric pairs — and then
+    /// deterministically, with a valid witness and the same verdict on
+    /// every orbit member.
     #[test]
     fn symmetric_functions_fall_back_deterministically() {
         let p = TruthTable::parity(8);
-        let (a, invariant) = certified_canonical(&p);
-        assert!(!invariant, "parity ties every profile");
-        let (b, _) = certified_canonical(&p);
-        assert_eq!(a, b, "fallback label is deterministic");
-        assert!(crate::matcher::are_npn_equivalent(&p, &a));
+        let canon = certified_canonical_with_witness(&p);
+        assert!(canon.invariant, "parity collapses to one block");
+        assert_eq!(canon.witness.apply(&p), canon.label);
+
+        let bent =
+            TruthTable::from_fn(14, |m| (m & (m >> 1) & 0x1555).count_ones() % 2 == 1).unwrap();
+        let a = certified_canonical_with_witness(&bent);
+        assert!(!a.invariant, "bent(14) exceeds the budget");
+        assert_eq!(a.witness.apply(&bent), a.label);
+        assert_eq!(
+            certified_canonical_with_witness(&bent),
+            a,
+            "fallback is deterministic"
+        );
+        let mut rng = StdRng::seed_from_u64(49);
+        let g = NpnTransform::random(14, &mut rng).apply(&bent);
+        let b = certified_canonical_with_witness(&g);
+        assert!(!b.invariant, "the verdict is orbit-invariant");
+        assert_eq!(b.witness.apply(&g), b.label);
+    }
+
+    /// The in-place arrangement steps visit every distinct block
+    /// sequence once, keep the working table equal to the phase-pinned
+    /// table under the tracked arrangement, and end where they began.
+    #[test]
+    fn arrangement_steps_visit_each_block_sequence_once() {
+        // Bent(8) pins every phase and ties every profile into one group
+        // of four swap-symmetric pairs: 8!/2^4 = 2520 arrangements.
+        let f = TruthTable::from_fn(8, |m| (m & (m >> 1) & 0x55).count_ones() % 2 == 1).unwrap();
+        let mut work = f.clone();
+        let plan = Plan::new(&f, false, &mut work);
+        assert_eq!((plan.arrangements, plan.num_free), (2520, 0));
+        let blocks = |cur: &[u8; MAX_VARS]| -> Vec<u8> {
+            cur[..8]
+                .iter()
+                .map(|&v| plan.block[usize::from(v)])
+                .collect()
+        };
+        let mut cur = plan.first_arrangement(&f, &mut work);
+        let first = blocks(&cur);
+        let mut seen = std::collections::HashSet::new();
+        loop {
+            assert!(seen.insert(blocks(&cur)), "a block sequence repeats");
+            let mut perm = [0usize; 8];
+            for (pos, &var) in cur[..8].iter().enumerate() {
+                perm[usize::from(var)] = pos;
+            }
+            let t = NpnTransform::new(Permutation::from_slice(&perm).unwrap(), plan.pinned, false);
+            assert_eq!(work, t.apply(&f), "arrangement {cur:?}");
+            if !plan.advance(&mut work, &mut cur) {
+                break;
+            }
+        }
+        assert_eq!(seen.len() as u64, plan.arrangements);
+        assert_eq!(
+            blocks(&cur),
+            first,
+            "the odometer wraps to the first arrangement"
+        );
     }
 
     #[test]

@@ -9,21 +9,25 @@
 //!    matcher code. If a canonicalizer ever over-merges or over-splits,
 //!    it disagrees with this count.
 //! 2. **Exhaustive canonicalization** — every function of up to four
-//!    variables through both `exact_npn_canonical` and
-//!    `certified_canonical`; the distinct-representative count must be
-//!    the Burnside count, and the two canonicalizers must agree.
+//!    variables through both `exact_npn_canonical` (the orbit minimum)
+//!    and `certified_canonical` (the minimum over the profile-normalized
+//!    orbit — a different table, the same partition); both
+//!    distinct-label counts must be the Burnside count, the two labelings
+//!    must induce the same partition, every certified label must be its
+//!    own label, and every witness must map its function onto its label.
 //!
 //! n = 5 can't be enumerated directly (2^32 functions), but every
 //! 5-variable class contains a member whose x4 = 0 cofactor is one of
 //! the 222 canonical 4-variable forms (canonicalize the cofactor and
 //! extend that transform with x4 fixed), so sweeping the
-//! 222 · 65536 composed tables hits every class at least once. That
-//! sweep is minutes of walking, so it is gated behind `ORACLE_FULL=1`
-//! (CI's oracle job sets it; plain `cargo test` skips).
+//! 222 · 65536 composed tables hits every class at least once — through
+//! both canonicalizers. That sweep is minutes of exhaustive walking, so
+//! it is gated behind `ORACLE_FULL=1` (CI's oracle job sets it; plain
+//! `cargo test` skips).
 
-use facepoint_exact::{certified_canonical, exact_npn_canonical};
+use facepoint_exact::{certified_canonical, certified_canonical_with_witness, exact_npn_canonical};
 use facepoint_truth::TruthTable;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Classes of n-variable functions under NPN equivalence, for
 /// n = 1..=5: the ground truth the rest of the file compares against.
@@ -107,36 +111,56 @@ fn burnside_matches_the_published_class_counts() {
     }
 }
 
-/// Exhaustive canonicalization at n ≤ 4: both canonicalizers agree on
-/// every function, representatives are fixed points, and the distinct
-/// count equals the Burnside count.
+/// Exhaustive canonicalization at n ≤ 4: the certified labels induce
+/// the exhaustive walk's partition, labels and exhaustive
+/// representatives are fixed points, every witness maps its function
+/// onto its label, and the distinct count equals the Burnside count.
 #[test]
 fn exhaustive_canonicalization_agrees_with_burnside() {
     for (n, expected) in &CLASS_COUNTS[..4] {
-        let mut reps: HashSet<u64> = HashSet::new();
+        // Exhaustive representative → certified label, and back.
+        let mut label_of: HashMap<u64, u64> = HashMap::new();
+        let mut class_of: HashMap<u64, u64> = HashMap::new();
         for bits in 0..1u64 << (1usize << n) {
             let f = TruthTable::from_u64(*n, bits).unwrap();
             let exact = exact_npn_canonical(&f);
-            let (certified, invariant) = certified_canonical(&f);
-            assert!(invariant, "no fallback exists at n <= 6");
+            let certified = certified_canonical_with_witness(&f);
+            assert!(certified.invariant, "no fallback at n <= 4");
             assert_eq!(
-                certified, exact,
-                "canonicalizers disagree on {bits:#x} at n={n}"
+                certified.witness.apply(&f),
+                certified.label,
+                "witness misses the label of {bits:#x} at n={n}"
             );
-            if reps.insert(exact.as_u64()) {
-                // A representative canonicalizes to itself.
-                assert_eq!(exact_npn_canonical(&exact), exact);
-            }
+            let label = certified.label.as_u64();
+            assert_eq!(
+                *label_of.entry(exact.as_u64()).or_insert(label),
+                label,
+                "one class, two certified labels: {bits:#x} at n={n}"
+            );
+            assert_eq!(
+                *class_of.entry(label).or_insert(exact.as_u64()),
+                exact.as_u64(),
+                "one certified label, two classes: {bits:#x} at n={n}"
+            );
         }
-        assert_eq!(reps.len() as u64, *expected, "n={n}");
+        for (&rep, &label) in &label_of {
+            // A representative canonicalizes to itself.
+            let rep = TruthTable::from_u64(*n, rep).unwrap();
+            assert_eq!(exact_npn_canonical(&rep), rep);
+            let label = TruthTable::from_u64(*n, label).unwrap();
+            assert_eq!(certified_canonical(&label), (label.clone(), true));
+        }
+        assert_eq!(label_of.len() as u64, *expected, "n={n}");
+        assert_eq!(class_of.len() as u64, *expected, "n={n}");
     }
 }
 
 /// The gated n = 5 census: canonicalize every `(g << 16) | r` table
 /// (r over the 222 canonical 4-variable forms, g over all 16-bit
-/// cofactors — a set that meets every 5-variable class) and count
-/// distinct representatives. Minutes of Gray-code walking, so CI's
-/// oracle job opts in with `ORACLE_FULL=1`.
+/// cofactors — a set that meets every 5-variable class) with both
+/// canonicalizers and count distinct labels of each. Minutes of
+/// exhaustive Gray-code walking, so CI's oracle job opts in with
+/// `ORACLE_FULL=1`.
 #[test]
 fn full_n5_canonical_census_matches_burnside() {
     if std::env::var("ORACLE_FULL").is_err() {
@@ -155,27 +179,34 @@ fn full_n5_canonical_census_matches_burnside() {
 
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     let chunk = reps4.len().div_ceil(threads);
-    let census: HashSet<u64> = std::thread::scope(|scope| {
+    let (exact, certified) = std::thread::scope(|scope| {
         let handles: Vec<_> = reps4
             .chunks(chunk)
             .map(|mine| {
                 scope.spawn(move || {
-                    let mut local: HashSet<u64> = HashSet::new();
+                    let mut exact: HashSet<u64> = HashSet::new();
+                    let mut certified: HashSet<u64> = HashSet::new();
                     for &r in mine {
                         for g in 0..1u64 << 16 {
                             let f = TruthTable::from_u64(5, (g << 16) | r).unwrap();
-                            local.insert(exact_npn_canonical(&f).as_u64());
+                            exact.insert(exact_npn_canonical(&f).as_u64());
+                            let (label, invariant) = certified_canonical(&f);
+                            assert!(invariant, "no fallback at n = 5: {f}");
+                            certified.insert(label.as_u64());
                         }
                     }
-                    local
+                    (exact, certified)
                 })
             })
             .collect();
-        let mut census = HashSet::new();
+        let mut census = (HashSet::new(), HashSet::new());
         for h in handles {
-            census.extend(h.join().expect("census worker panicked"));
+            let (exact, certified) = h.join().expect("census worker panicked");
+            census.0.extend(exact);
+            census.1.extend(certified);
         }
         census
     });
-    assert_eq!(census.len() as u64, CLASS_COUNTS[4].1);
+    assert_eq!(exact.len() as u64, CLASS_COUNTS[4].1);
+    assert_eq!(certified.len() as u64, CLASS_COUNTS[4].1);
 }

@@ -20,6 +20,7 @@
 //! paper's hybrid baseline enumerates permutations only across those
 //! classes.
 
+use facepoint_truth::words::{flip_var_word, valid_bits_mask, var_mask_word, WORD_VARS};
 use facepoint_truth::TruthTable;
 
 /// Whether `f` is NE-symmetric in `(a, b)`: invariant under swapping the
@@ -43,12 +44,9 @@ use facepoint_truth::TruthTable;
 /// # Ok::<(), facepoint_truth::Error>(())
 /// ```
 pub fn ne_symmetric(f: &TruthTable, a: usize, b: usize) -> bool {
-    if a == b {
-        return true;
-    }
     // Invariance under the transposition ⇔ the (0,1) and (1,0) cofactors
-    // agree ⇔ swapping the variables fixes the table.
-    f.swap_vars(a, b) == *f
+    // agree.
+    a == b || mirrors_agree(f, a, b, true)
 }
 
 /// Whether `f` is E-symmetric (skew-symmetric) in `(a, b)`: invariant
@@ -74,12 +72,39 @@ pub fn e_symmetric(f: &TruthTable, a: usize, b: usize) -> bool {
     if a == b {
         // The degenerate pair reads "swap x_a with ¬x_a", i.e. negate the
         // input; invariance under it means f does not depend on x_a.
-        return f.flip_var(a) == *f;
+        return !f.depends_on(a);
     }
-    // flip-swap-flip realizes the skew transposition: the composite reads
-    // f's variable a as ¬x_b and variable b as ¬x_a.
-    let g = f.flip_var(a).swap_vars(a, b).flip_var(a);
-    g == *f
+    // The skew transposition reads variable a as ¬x_b and b as ¬x_a:
+    // invariance ⇔ the (0,0) and (1,1) cofactors agree.
+    mirrors_agree(f, a, b, false)
+}
+
+/// Whether `f(m) = f(m ⊕ e_a ⊕ e_b)` on every minterm `m` whose `x_a`
+/// and `x_b` differ (`differ`) or agree (`!differ`) — the NE and E
+/// conditions for `a ≠ b`, checked word by word against the mirrored
+/// word so that no transformed table is ever materialized.
+fn mirrors_agree(f: &TruthTable, a: usize, b: usize, differ: bool) -> bool {
+    let n = f.num_vars();
+    assert!(a < n && b < n, "variable index in range");
+    let words = f.words();
+    let valid = valid_bits_mask(n);
+    // Word-level variables mirror whole words: the partner word index
+    // differs in their bits.
+    let hop = [a, b]
+        .into_iter()
+        .filter(|&v| v >= WORD_VARS)
+        .fold(0usize, |hop, v| hop | 1 << (v - WORD_VARS));
+    words.iter().enumerate().all(|(i, &w)| {
+        let mut mirror = words[i ^ hop];
+        for v in [a, b] {
+            if v < WORD_VARS {
+                mirror = flip_var_word(mirror, v);
+            }
+        }
+        let split = var_mask_word(a, i) ^ var_mask_word(b, i);
+        let region = if differ { split } else { !split };
+        (w ^ mirror) & region & valid == 0
+    })
 }
 
 /// The full pairwise symmetry report of a function.
@@ -168,21 +193,27 @@ mod tests {
 
     #[test]
     fn majority_is_totally_symmetric() {
-        let r = SymmetryReport::analyze(&TruthTable::majority(5));
-        assert!(r.is_totally_symmetric());
-        assert_eq!(r.symmetry_classes(), vec![vec![0, 1, 2, 3, 4]]);
-        assert_eq!(r.distinct_orders(), 1);
+        // n = 9 spans in-word, mixed and word-level pairs.
+        for n in [5usize, 9] {
+            let r = SymmetryReport::analyze(&TruthTable::majority(n));
+            assert!(r.is_totally_symmetric());
+            assert_eq!(r.symmetry_classes(), vec![(0..n).collect::<Vec<_>>()]);
+            assert_eq!(r.distinct_orders(), 1);
+        }
     }
 
     #[test]
     fn parity_is_totally_symmetric_and_skew() {
-        let r = SymmetryReport::analyze(&TruthTable::parity(4));
-        assert!(r.is_totally_symmetric());
-        // Parity is also E-symmetric in every pair: swapping x_i with
-        // ¬x_j complements two inputs, preserving parity.
-        for a in 0..4 {
-            for b in (a + 1)..4 {
-                assert!(r.e(a, b), "({a},{b})");
+        // n = 8 spans in-word, mixed and word-level pairs.
+        for n in [4usize, 8] {
+            let r = SymmetryReport::analyze(&TruthTable::parity(n));
+            assert!(r.is_totally_symmetric());
+            // Parity is also E-symmetric in every pair: swapping x_i with
+            // ¬x_j complements two inputs, preserving parity.
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    assert!(r.e(a, b), "n={n} ({a},{b})");
+                }
             }
         }
     }
@@ -204,11 +235,12 @@ mod tests {
         // and (1,0) restrictions coincide.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        // n = 8 covers the in-word, mixed and word-level variable pairs.
         let mut rng = StdRng::seed_from_u64(211);
-        for _ in 0..20 {
-            let f = TruthTable::random(5, &mut rng).unwrap();
-            for a in 0..5 {
-                for b in (a + 1)..5 {
+        for n in [3usize, 5, 8] {
+            let f = TruthTable::random(n, &mut rng).unwrap();
+            for a in 0..n {
+                for b in (a + 1)..n {
                     let c01 = f.restrict(a, false).restrict(b, true);
                     let c10 = f.restrict(a, true).restrict(b, false);
                     assert_eq!(ne_symmetric(&f, a, b), c01 == c10, "{f} ({a},{b})");
@@ -222,10 +254,10 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(223);
-        for _ in 0..20 {
-            let f = TruthTable::random(5, &mut rng).unwrap();
-            for a in 0..5 {
-                for b in (a + 1)..5 {
+        for n in [3usize, 5, 8] {
+            let f = TruthTable::random(n, &mut rng).unwrap();
+            for a in 0..n {
+                for b in (a + 1)..n {
                     let c00 = f.restrict(a, false).restrict(b, false);
                     let c11 = f.restrict(a, true).restrict(b, true);
                     assert_eq!(e_symmetric(&f, a, b), c00 == c11, "{f} ({a},{b})");

@@ -30,10 +30,27 @@ use std::fmt;
 /// assert_eq!(maj.count_ones(), 4);
 /// assert!(maj.is_balanced());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct TruthTable {
     num_vars: u8,
     words: Vec<u64>,
+}
+
+impl Clone for TruthTable {
+    fn clone(&self) -> Self {
+        TruthTable {
+            num_vars: self.num_vars,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s word buffer when
+    /// it is large enough — the canonical walk keeps its running
+    /// minimum this way without allocating per improvement.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_vars = source.num_vars;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl TruthTable {
