@@ -2,7 +2,6 @@
 
 use facepoint_sig::SignatureSet;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// When the durable store flushes its journals to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -207,13 +206,7 @@ impl EngineConfig {
     /// available parallelism).
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
-            // Read once per process: on Linux `available_parallelism`
-            // parses cgroup files, 30–170 µs a call — most of an
-            // in-memory engine build — for a default that need not
-            // track later quota changes.
-            static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
-            *HARDWARE_THREADS
-                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.workers
         }

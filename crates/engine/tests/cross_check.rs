@@ -237,13 +237,15 @@ fn dedup_interleaved_with_pending_buffer_keeps_submission_order() {
 #[test]
 fn cache_is_transparent_and_hits() {
     let base = workload(5, 10, 3, 77);
-    // Repeat the stream so the cache has something to win on. The
-    // repeat goes in after a drain: a repeat racing its first copy
-    // through the workers hits only if the copy finished first, which
-    // made the hit count a coin toss.
+    // Two copies in one batch, so repeats race their first copies
+    // through the workers, then a third copy after a drain. A racing
+    // repeat hits only if its first copy finished first, so the hit
+    // floor rests on the drained copy alone.
     let mut fns = base.clone();
     fns.extend(base.iter().cloned());
-    let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
+    let mut all = fns.clone();
+    all.extend(base.iter().cloned());
+    let expected = Classifier::new(SignatureSet::all()).classify(all);
     let cached = Engine::builder()
         .config(EngineConfig {
             workers: 4,
@@ -253,7 +255,7 @@ fn cache_is_transparent_and_hits() {
         })
         .build()
         .unwrap();
-    cached.submit_batch(base.iter().cloned());
+    cached.submit_batch(fns.iter().cloned());
     assert!(cached.drain(std::time::Duration::from_secs(30)));
     cached.submit_batch(base.iter().cloned());
     let report = cached.finish();

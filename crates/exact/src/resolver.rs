@@ -38,11 +38,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Work budget of the canonical walk, in candidate evaluations: a
-/// guard against adversarial inputs, past which only the first
-/// candidate is evaluated and the label is reported non-invariant.
-/// Every post-collapse candidate counts one unit, and every step to the
-/// next block arrangement [`ARRANGEMENT_STEP`] more.
+/// Work budget of the canonical walk, in candidate evaluations at
+/// n = 8: a guard against adversarial inputs, past which only the
+/// first candidate is evaluated and the label is reported
+/// non-invariant. Every post-collapse candidate counts one unit, and
+/// every step to the next block arrangement [`ARRANGEMENT_STEP`] more;
+/// at other arities a unit weighs what its table width makes it cost
+/// (see [`UNIT_OVERHEAD_WORDS`]).
 ///
 /// Sized so that a walk at the budget costs no more at n = 8 than the
 /// allocating 4,096-candidate enumeration it replaced. Three
@@ -55,6 +57,26 @@ use std::sync::Mutex;
 /// `(x0⊕x4)(x1⊕x5)(x2⊕x6)(x3⊕x7)` (2,520 arrangements × 2^8 phases,
 /// 652,680 units).
 const WALK_BUDGET: u64 = 3 << 18;
+
+/// The fixed part of a unit's cost, in table words: a walk of `u`
+/// units over tables of `w` words is charged
+/// `u · (UNIT_OVERHEAD_WORDS + w) / (UNIT_OVERHEAD_WORDS + 4)` against
+/// [`WALK_BUDGET`] — its n = 8 units, 4 words each — so the budget
+/// bounds wall time at every arity.
+///
+/// Measured on the same VM (release build, medians), per unit of
+/// `(x0⊕x4)(x1⊕x5)(x2⊕x6)(x3⊕x7)·x8·x9⋯`, the costliest family probed
+/// (652,680 units at every n): 12 ns at n = 8, 22 ns at n = 10,
+/// 78 ns at n = 12, 0.41 µs at n = 14 and 1.1 µs at n = 16; the
+/// 4,096-candidate enumeration cost 4.9 ms at n = 7, 39 ms at n = 10,
+/// 0.19 s at n = 12, 0.55 s at n = 14 and 3.6 s at n = 16. Unweighted,
+/// the budget would cost 0.9 s at n = 16, and parity(16), which that
+/// enumeration sent to its fallback in 1.2–1.7 ms, walked 131,078
+/// units in 115 ms. Weighted, a walk at the budget costs 9–24 ms from
+/// n = 8 to n = 16 (15,123 units at n = 16), parity(16) falls back in
+/// 0.2 ms, and bent(10) (453,600 units, weight 1.6) still walks, in
+/// 3.9–6.3 ms.
+const UNIT_OVERHEAD_WORDS: u64 = 16;
 
 /// Budget units of one arrangement step (usually one or two variable
 /// swaps): at n = 8 a step took 20–30 ns, a phase flip with its
@@ -150,7 +172,7 @@ pub fn certified_canonical_with_witness(f: &TruthTable) -> CertifiedCanonical {
     let cost = plans
         .iter()
         .fold(0u64, |sum, plan| sum.saturating_add(plan.cost()));
-    let invariant = cost <= WALK_BUDGET;
+    let invariant = within_budget(cost, f.words().len());
     let mut best = Best {
         table: f.clone(),
         found: false,
@@ -162,6 +184,15 @@ pub fn certified_canonical_with_witness(f: &TruthTable) -> CertifiedCanonical {
         plan.walk(f, &mut work, &mut best, invariant);
     }
     best.into_canonical(f.num_vars(), invariant)
+}
+
+/// Whether a walk of `cost` units over tables of `words` words fits
+/// [`WALK_BUDGET`], each unit weighted by [`UNIT_OVERHEAD_WORDS`]. The
+/// verdict depends only on the cost and the arity, both orbit
+/// invariants.
+fn within_budget(cost: u64, words: usize) -> bool {
+    cost.saturating_mul(UNIT_OVERHEAD_WORDS + words as u64)
+        <= WALK_BUDGET * (UNIT_OVERHEAD_WORDS + 4)
 }
 
 /// One output polarity's share of the walk: what the profiles pin and
@@ -697,6 +728,23 @@ mod tests {
         let b = certified_canonical_with_witness(&g);
         assert!(!b.invariant, "the verdict is orbit-invariant");
         assert_eq!(b.witness.apply(&g), b.label);
+    }
+
+    /// The budget is charged by table width: n = 8 gets exactly
+    /// `WALK_BUDGET` units, bent(10) still fits, and parity(16) — one
+    /// block, 2 × (3 + 2^16) units over 1,024 words — falls back as the
+    /// 4,096-candidate enumeration did, while parity(12) walks.
+    #[test]
+    fn the_budget_is_charged_by_table_width() {
+        assert!(within_budget(WALK_BUDGET, 4));
+        assert!(!within_budget(WALK_BUDGET + 1, 4));
+        assert!(within_budget(453_600, 16), "bent(10)");
+        assert!(!within_budget(u64::MAX, 1));
+        assert!(certified_canonical_with_witness(&TruthTable::parity(12)).invariant);
+        let p = TruthTable::parity(16);
+        let canon = certified_canonical_with_witness(&p);
+        assert!(!canon.invariant, "parity(16) exceeds the weighted budget");
+        assert_eq!(canon.witness.apply(&p), canon.label);
     }
 
     /// The in-place arrangement steps visit every distinct block
