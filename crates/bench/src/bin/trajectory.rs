@@ -1,7 +1,6 @@
 //! Writes the machine-readable performance trajectory:
 //! `BENCH_signatures.json` (single-thread `signature_key` throughput,
-//! kernel vs. two-pass reference plus the bit-sliced `key_batch` lane
-//! pass, on balanced tables for n = 6..11) and
+//! kernel vs. two-pass reference, on balanced tables for n = 6..11) and
 //! `BENCH_engine.json` (end-to-end engine throughput, in-memory
 //! **and** with the durable journal on, so the durability tax is a
 //! recorded number, not a guess), both at the repo root by default.
@@ -39,23 +38,6 @@ fn throughput(fns: &[TruthTable], budget: Duration, mut work: impl FnMut(&TruthT
         for f in fns {
             work(f);
         }
-        done += fns.len() as u64;
-    }
-    done as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Repeats whole-slice `key_batch` passes over `fns` until at least
-/// `budget` has elapsed and returns functions/second — the bit-sliced
-/// lane counterpart of [`throughput`]'s per-function loop.
-fn batch_throughput(fns: &[TruthTable], budget: Duration, kernel: &mut SignatureKernel) -> f64 {
-    let mut keys = Vec::new();
-    kernel.key_batch(fns, &mut keys); // warm-up (lane buffers, tables)
-    let start = Instant::now();
-    let mut done = 0u64;
-    while start.elapsed() < budget {
-        keys.clear();
-        kernel.key_batch(fns, &mut keys);
-        std::hint::black_box(&keys);
         done += fns.len() as u64;
     }
     done as f64 / start.elapsed().as_secs_f64()
@@ -119,17 +101,13 @@ fn main() {
         let kernel_fps = throughput(&fns, budget, |f| {
             std::hint::black_box(kernel.key(f));
         });
-        let batch_fps = batch_throughput(&fns, budget, &mut kernel);
         let reference_fps = throughput(&fns, budget, |f| {
             std::hint::black_box(fnv128(msv_reference(f, set).as_words()));
         });
         let speedup = kernel_fps / reference_fps;
-        let batch_speedup = batch_fps / reference_fps;
         println!(
             "signatures n={n}: kernel {kernel_fps:.0} fn/s, \
-             batch {batch_fps:.0} fn/s, \
-             reference {reference_fps:.0} fn/s, \
-             speedup {speedup:.2}x, batch speedup {batch_speedup:.2}x"
+             reference {reference_fps:.0} fn/s, speedup {speedup:.2}x"
         );
         if !sig_rows.is_empty() {
             sig_rows.push_str(",\n");
@@ -137,21 +115,16 @@ fn main() {
         sig_rows.push_str(&format!(
             "    {{\"n\": {n}, \"functions\": {count}, \
              \"kernel_fns_per_sec\": {kernel_fps:.1}, \
-             \"batch_fns_per_sec\": {batch_fps:.1}, \
              \"reference_fns_per_sec\": {reference_fps:.1}, \
-             \"speedup\": {speedup:.3}, \
-             \"batch_speedup\": {batch_speedup:.3}}}"
+             \"speedup\": {speedup:.3}}}"
         ));
     }
     let sig_json = format!(
         "{{\n  \"bench\": \"signature_key\",\n  \"set\": \"{set}\",\n  \
          \"workload\": \"balanced random tables, single thread\",\n  \
          \"baseline\": \"reference = two-pass msv_reference + fnv128, \
-         the pre-kernel signature_key algorithm; batch = key_batch \
-         bit-sliced lane passes over the same tables\",\n  \
-         \"lane_width\": {},\n  \
+         the pre-kernel signature_key algorithm\",\n  \
          \"unix_time\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        facepoint_sig::LANE_WIDTH,
         unix_time(),
         sig_rows
     );

@@ -154,11 +154,29 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses a numeric `--flag value` with a default.
+/// Parses a numeric `--flag value`: `default` when the flag is absent,
+/// an error naming the flag when it is present but its value is
+/// missing or does not parse.
+fn try_arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+/// Parses a numeric `--flag value`, `default` when the flag is absent.
+/// A present flag whose value is missing or does not parse prints an
+/// error naming the flag and exits with status 2.
 pub fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    try_arg_num(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Prints a row of fixed-width columns (simple table formatting shared by
@@ -201,14 +219,30 @@ mod tests {
         assert_eq!(w.len(), 4);
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--limit", "50", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = strings(&["--limit", "50", "--seed", "9"]);
         assert_eq!(arg_num(&args, "--limit", 0usize), 50);
         assert_eq!(arg_num(&args, "--seed", 1u64), 9);
         assert_eq!(arg_num(&args, "--missing", 42usize), 42);
+    }
+
+    #[test]
+    fn present_flag_with_bad_or_missing_value_is_an_error() {
+        let args = strings(&["--max-regress", "0.1x", "--min-n", "eight", "--max-n"]);
+        let err = try_arg_num(&args, "--max-regress", 0.25f64).unwrap_err();
+        assert!(
+            err.contains("--max-regress") && err.contains("0.1x"),
+            "{err}"
+        );
+        let err = try_arg_num(&args, "--min-n", 4usize).unwrap_err();
+        assert!(err.contains("--min-n") && err.contains("eight"), "{err}");
+        let err = try_arg_num(&args, "--max-n", 8usize).unwrap_err();
+        assert!(err.contains("--max-n"), "{err}");
+        assert_eq!(try_arg_num(&args, "--limit", 7usize), Ok(7));
     }
 }

@@ -43,7 +43,7 @@ fn workload(n: usize) -> Vec<TruthTable> {
 fn steady_state_digest_and_msv_into_allocate_nothing() {
     // Digest keys: the acceptance property.
     for set in [SignatureSet::all(), SignatureSet::all_extended()] {
-        for n in [4usize, 6, 8] {
+        for n in [4usize, 6, 8, 10] {
             let fns = workload(n);
             let mut kernel = SignatureKernel::new(set);
             // Warm-up: grow every scratch buffer to its high-water mark
@@ -60,9 +60,8 @@ fn steady_state_digest_and_msv_into_allocate_nothing() {
         }
     }
 
-    // The bit-sliced lane batch: a whole n = 10 batch keyed through
-    // `key_batch` must be allocation-free once the lane buffers and the
-    // caller's key vector have warmed up.
+    // Whole-slice keying: `key_batch` over an n = 10 slice must be
+    // allocation-free once the caller's key vector has warmed up.
     {
         let fns = workload(10);
         let mut kernel = SignatureKernel::new(SignatureSet::all());
@@ -70,7 +69,7 @@ fn steady_state_digest_and_msv_into_allocate_nothing() {
         kernel.key_batch(&fns, &mut keys); // warm-up growth
         let expected = keys.clone();
         assert_some_pass_allocates_nothing(
-            format_args!("steady-state batched digest keys (n = 10)"),
+            format_args!("steady-state slice digest keys (n = 10)"),
             || {
                 keys.clear();
                 kernel.key_batch(&fns, &mut keys);

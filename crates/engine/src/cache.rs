@@ -94,12 +94,13 @@ impl MemoCache {
     }
 
     /// Records a freshly computed `table → key` pair and counts the
-    /// miss. Workers probe with [`Self::peek`] (which counts hits),
-    /// collect the misses of a chunk into one bit-sliced lane pass, and
-    /// feed each computed key back through here, so `hits + misses`
-    /// still equals the number of keyed functions. Keys are pure, so
-    /// racing duplicate records of the same table are harmless (both
-    /// count as the misses they were).
+    /// miss. A worker probes each entry with [`Self::peek`] (which
+    /// counts hits) and, when the probe fails, keys the table and
+    /// records it here before probing the next entry, so `hits +
+    /// misses` equals the number of keyed functions and a repeat later
+    /// in the same chunk hits. Keys are pure, so racing records of one
+    /// table from different workers are harmless (each counts as the
+    /// miss it was).
     pub fn record(&self, table: &TruthTable, key: u128) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.disabled {

@@ -1143,28 +1143,24 @@ impl Drop for Engine {
     }
 }
 
-/// Classifies one chunk in two phases. Phase one probes the memo cache
-/// per entry: hits land in the store immediately, misses queue their
-/// entry index. Phase two keys **all misses of the chunk through one
-/// bit-sliced lane pass** ([`SignatureKernel::key_batch_with`]), so up
-/// to [`facepoint_sig::LANE_WIDTH`] same-arity functions share each
-/// Walsh–Hadamard butterfly. Progress is still counted **per
-/// function** — the kernel emits keys one at a time as it serializes
-/// each lane slot — so `pending()` and [`Engine::drain`] observe
-/// smooth, never-overshooting progress even mid-chunk. The chunk's
-/// `(seq, key)` pairs then stream into the order sink in one short
-/// lock and the submit→classified latency is recorded.
+/// Classifies one chunk, one entry at a time: probe the memo cache, and
+/// on a miss key the table through the scalar kernel, resolve it
+/// (certified engines), land it in the store and record the key in the
+/// cache. Progress is counted **per function**, so `pending()` and
+/// [`Engine::drain`] observe smooth, never-overshooting progress even
+/// mid-chunk. The chunk's `(seq, key)` pairs then stream into the
+/// order sink in one short lock and the submit→classified latency is
+/// recorded.
 ///
-/// Allocation-free in steady state: the reused `log` and `misses`
-/// scratch stop growing once they have seen the largest chunk, and the
-/// kernel's lane buffers are warmed the same way.
+/// Allocation-free in steady state: the reused `log` stops growing
+/// once it has seen the largest chunk.
 ///
-/// Accounting note: entries of one chunk that duplicate an *uncached*
-/// table are all keyed by the lane pass and all count as cache misses
-/// (the retired per-entry compute-or-insert path resolved intra-chunk
-/// repeats against the entry inserted moments earlier). `hits +
-/// misses` still equals the number of keyed functions, and cross-chunk
-/// repeats hit as before.
+/// Accounting note: every entry counts exactly once, as a cache hit
+/// (its probe succeeded) or a miss (it was keyed and recorded), so
+/// `hits + misses` equals the number of keyed functions. A miss is
+/// recorded before the next entry is probed, so a repeat later in the
+/// same chunk hits the entry its first copy recorded; only copies in
+/// flight on different workers at once can each miss.
 #[allow(clippy::too_many_arguments)]
 fn classify_job(
     job: Job,
@@ -1174,55 +1170,43 @@ fn classify_job(
     processed: &AtomicU64,
     order: &OrderSink,
     log: &mut Vec<(u64, u128)>,
-    misses: &mut Vec<usize>,
     chunk_latency: &LatencyHistogram,
     certified: Option<&CertifiedResolve>,
 ) {
-    let submitted_at = job.submitted_at;
-    let entries = job.entries;
-    for (i, (seq, table)) in entries.iter().enumerate() {
-        if let Some(key) = cache.peek(table) {
-            store.insert(key, table, *seq);
-            log.push((*seq, key));
-            processed.fetch_add(1, Ordering::AcqRel);
-        } else {
-            // Placeholder; patched by the lane pass below.
-            log.push((*seq, 0));
-            misses.push(i);
-        }
+    for (seq, table) in &job.entries {
+        let key = match cache.peek(table) {
+            Some(key) => {
+                store.insert(key, table, *seq);
+                key
+            }
+            None => {
+                let digest = kernel.key(table);
+                // In certified mode the signature digest only names the
+                // bucket; the store key and the stored representative
+                // are the *proved* ones from the resolver. Either way
+                // the store insert lands before the cache records the
+                // key, so a later hit always finds an occupied entry.
+                let key = match certified {
+                    None => {
+                        store.insert(digest, table, *seq);
+                        digest
+                    }
+                    Some(tier) => {
+                        let (key, representative) = tier.resolve(digest, table);
+                        store.insert(key, &representative, *seq);
+                        key
+                    }
+                };
+                cache.record(table, key);
+                key
+            }
+        };
+        log.push((*seq, key));
+        processed.fetch_add(1, Ordering::AcqRel);
     }
-    let miss_idx: &[usize] = misses;
-    kernel.key_batch_with(
-        miss_idx.len(),
-        |j| &entries[miss_idx[j]].1,
-        |j, digest| {
-            let i = miss_idx[j];
-            let (seq, table) = &entries[i];
-            // In certified mode the signature digest only names the
-            // bucket; the store key and the stored representative are
-            // the *proved* ones from the resolver. Either way the
-            // store insert lands before the cache records the key, so
-            // a dedup fast-path hit always finds an occupied entry.
-            let key = match certified {
-                None => {
-                    store.insert(digest, table, *seq);
-                    digest
-                }
-                Some(tier) => {
-                    let (key, representative) = tier.resolve(digest, table);
-                    store.insert(key, &representative, *seq);
-                    key
-                }
-            };
-            cache.record(table, key);
-            log[i].1 = key;
-            processed.fetch_add(1, Ordering::AcqRel);
-        },
-    );
-    misses.clear();
     order.apply(log);
     log.clear();
-    chunk_latency.record_duration(submitted_at.elapsed());
+    chunk_latency.record_duration(job.submitted_at.elapsed());
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1243,7 +1227,6 @@ fn worker_loop(
     // steady-state worker allocates nothing per chunk.
     let mut kernel = SignatureKernel::new(set);
     let mut log: Vec<(u64, u128)> = Vec::new();
-    let mut misses: Vec<usize> = Vec::new();
     while let Some(job) = pool.next_item(me) {
         classify_job(
             job,
@@ -1253,7 +1236,6 @@ fn worker_loop(
             processed,
             order,
             &mut log,
-            &mut misses,
             chunk_latency,
             certified,
         );
@@ -1366,6 +1348,27 @@ mod tests {
         // With one distinct function, almost everything hits; allow for
         // racy duplicate computation across workers.
         assert!(report.stats.cache_hits >= 32, "{}", report.stats);
+    }
+
+    #[test]
+    fn repeat_inside_one_chunk_hits_its_first_copy() {
+        // Both copies miss the submit-side probe (nothing is cached
+        // yet) and land in one chunk; the worker keys the first and
+        // records it before probing the second.
+        let f = TruthTable::majority(5);
+        let engine = Engine::builder()
+            .config(EngineConfig {
+                workers: 1,
+                cache_capacity: 1024,
+                ..EngineConfig::default()
+            })
+            .build()
+            .unwrap();
+        engine.submit_batch([f.clone(), f]);
+        let report = engine.finish();
+        assert_eq!(report.stats.cache_misses, 1, "{}", report.stats);
+        assert_eq!(report.stats.cache_hits, 1, "{}", report.stats);
+        assert_eq!(report.stats.dedup_hits, 0, "{}", report.stats);
     }
 
     #[test]

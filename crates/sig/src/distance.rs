@@ -24,9 +24,9 @@
 //! (`WHT(WHT(a)²)/2^n`, then bin the `2^n` differences by popcount) —
 //! it is the frozen reference tail that [`crate::msv_reference`]
 //! benchmarks against. The kernel's fused sweep
-//! ([`osdv_point_sections_into`]) and the bit-sliced batch path use a
-//! **single-transform, weight-binned** tail instead: with `W = WHT(a)`
-//! and the per-weight energies `E_w = Σ_{|s|=w} W[s]²`, the distance
+//! ([`osdv_point_sections_into`]) uses a **single-transform,
+//! weight-binned** tail instead: with `W = WHT(a)` and the per-weight
+//! energies `E_w = Σ_{|s|=w} W[s]²`, the distance
 //! histogram is `δ_j = (Σ_w K_j(w)·E_w) / 2^{n+1}` where `K_j` are the
 //! binary Krawtchouk polynomials. That removes the inverse transform,
 //! the squaring pass, and the difference binning; and because the two
@@ -47,7 +47,7 @@ use std::fmt;
 /// cascade where the autocorrelation runs two plus a squaring pass, so
 /// it breaks even against pairwise counting at roughly half the group
 /// population product; the value is pinned by a unit test and was
-/// re-tuned against the batched kernel on the `trajectory` workload.
+/// tuned on the `trajectory` workload.
 pub const AUTO_SPECTRAL_DIVISOR: u64 = 2;
 
 /// The [`OsdvEngine::Auto`] crossover of the single-transform spectral
@@ -78,17 +78,17 @@ pub struct OsdvScratch {
     /// fused sweep.
     ind: Vec<u64>,
     /// Expanded member list for the pairwise engine.
-    pub(crate) members: Vec<u64>,
+    members: Vec<u64>,
     /// Walsh–Hadamard workspace for the classic autocorrelation engine.
     wht: Vec<i64>,
     /// Workspace of the single-transform weight-binned spectral tail.
-    pub(crate) tail: SpectralTail,
+    tail: SpectralTail,
 }
 
 /// Scratch of the weight-binned spectral pair counter: transform
 /// buffers, per-weight energies, and the cached Krawtchouk table.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct SpectralTail {
+struct SpectralTail {
     /// Transform buffer for a single group (holds `WHT(g1)` on the
     /// shared path).
     buf: Vec<i64>,
@@ -113,7 +113,7 @@ pub enum OsdvEngine {
     Wht,
     /// Choose per group by population: pairwise below the tail's
     /// crossover ([`classic_crossover`] for [`osdv_rows_into`],
-    /// [`auto_crossover`] for the fused/batched weight-binned tail),
+    /// [`auto_crossover`] for the fused weight-binned tail),
     /// spectral otherwise.
     #[default]
     Auto,
@@ -343,8 +343,8 @@ pub fn osdv_point_sections_into(
 }
 
 /// Distance-histograms the two polarity groups of one sensitivity level
-/// into `row0`/`row1` — the level-granular engine dispatcher shared by
-/// the fused scalar sweep and the bit-sliced batch path.
+/// into `row0`/`row1` — the level-granular engine dispatcher of the
+/// fused sweep.
 ///
 /// When both groups clear the spectral crossover they share one
 /// transform: `S = WHT(g0 ∪ g1)` and `B = WHT(g1)` are computed, and
@@ -352,7 +352,7 @@ pub fn osdv_point_sections_into(
 /// pass, so the level costs two butterfly cascades where independent
 /// autocorrelations cost four.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn count_level_pairs(
+fn count_level_pairs(
     num_vars: usize,
     engine: OsdvEngine,
     g0: &[u64],
@@ -518,7 +518,7 @@ pub fn osdv1(f: &TruthTable) -> Osdv {
     osdv_with(f, MintermFilter::Ones, OsdvEngine::Auto)
 }
 
-pub(crate) fn count_pairs_naive(group: &[u64], row: &mut [u64], members: &mut Vec<u64>) {
+fn count_pairs_naive(group: &[u64], row: &mut [u64], members: &mut Vec<u64>) {
     members.clear();
     for (w, &word) in group.iter().enumerate() {
         let mut bits = word;

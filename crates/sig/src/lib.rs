@@ -48,7 +48,6 @@ mod influence;
 mod kernel;
 mod msv;
 mod sensitivity;
-pub mod slices;
 pub mod spectral;
 pub mod symmetry;
 pub mod theorems;
@@ -64,4 +63,3 @@ pub use msv::{msv, msv_reference, push_stage_sections, raw_msv, Msv, SignatureSe
 pub use sensitivity::{
     osv, osv0, osv1, osv_histogram, osv_histograms_by_value, sen, sen0, sen1, SensitivityProfile,
 };
-pub use slices::{transpose64, LANE_WIDTH};

@@ -288,8 +288,7 @@ proptest! {
         );
     }
 
-    // The in-place butterfly (scalar or four-lane, whichever the build
-    // enables) against the naive O(4ⁿ) transform definition
+    // The in-place butterfly against the naive O(4ⁿ) transform definition
     // W[s] = Σ_m (−1)^{popcount(s∧m)}·data[m].
     #[test]
     fn wht_in_place_matches_naive_transform(
@@ -314,48 +313,6 @@ proptest! {
         let mut fast = data;
         facepoint_sig::spectral::wht_in_place(&mut fast);
         prop_assert_eq!(fast, naive, "n = {}", n);
-    }
-
-    // ---- Bit-sliced batch lanes ----
-
-    // The lane batch against per-function serialization: every subset
-    // at small arity, the two full sets up to the acceptance bound of
-    // 8. Random widths cross the single-function fallback (width 1)
-    // and genuine multi-lane batches.
-    #[test]
-    fn batch_lanes_equal_scalar_for_every_subset(
-        (n, width, seed) in (0usize..=6, 1usize..=8, any::<u64>())
-    ) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let fns: Vec<TruthTable> = (0..width)
-            .map(|_| TruthTable::random(n, &mut rng).unwrap())
-            .collect();
-        let mut kernel = SigKernel::new();
-        for set in all_signature_subsets() {
-            let batched = kernel.msv_batch(&fns, set);
-            for (f, b) in fns.iter().zip(&batched) {
-                prop_assert_eq!(b, &kernel.msv(f, set), "n = {}, set = {}, f = {}", n, set, f);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_lanes_equal_scalar_at_large_arity(
-        (n, width, seed) in (7usize..=8, 2usize..=5, any::<u64>())
-    ) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let fns: Vec<TruthTable> = (0..width)
-            .map(|_| TruthTable::random(n, &mut rng).unwrap())
-            .collect();
-        let mut kernel = SigKernel::new();
-        for set in [SignatureSet::all(), SignatureSet::all_extended()] {
-            let batched = kernel.msv_batch(&fns, set);
-            for (f, b) in fns.iter().zip(&batched) {
-                prop_assert_eq!(b, &kernel.msv(f, set), "n = {}, set = {}, f = {}", n, set, f);
-            }
-        }
     }
 
     // ---- Auto engine on skewed sensitivity groups ----
