@@ -3,7 +3,7 @@
 //! The paper's workload comes from the EPFL combinational benchmark
 //! suite. The suite's circuit files are not redistributable inside this
 //! repository, so these generators synthesize the same two families
-//! structurally (see DESIGN.md §3, substitution 1):
+//! structurally:
 //!
 //! * **arithmetic**: ripple-carry adders, array multipliers, squarers,
 //!   barrel shifters, comparators/max units, parity trees;

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use facepoint_bench::random_workload;
-use facepoint_core::{Classifier, KeyMode};
+use facepoint_core::Classifier;
 use facepoint_exact::baselines::{CanonicalClassifier, Huang13, Petkovska16, Zhou20};
 use facepoint_sig::SignatureSet;
 use std::hint::black_box;
@@ -42,20 +42,6 @@ fn bench_vs_baselines(c: &mut Criterion) {
         let z = Zhou20::default();
         b.iter(|| black_box(z.classify(&fns).num_classes()))
     });
-    group.finish();
-}
-
-fn bench_key_modes(c: &mut Criterion) {
-    // Ablation: digest keys vs full-vector keys (DESIGN.md §5).
-    let mut group = c.benchmark_group("classifier_key_modes");
-    let fns = random_workload(8, 1000, 0xF00D);
-    group.throughput(Throughput::Elements(fns.len() as u64));
-    for (name, mode) in [("digest", KeyMode::Digest), ("full", KeyMode::Full)] {
-        group.bench_function(name, |b| {
-            let classifier = Classifier::new(SignatureSet::all()).with_key_mode(mode);
-            b.iter(|| black_box(classifier.classify(fns.clone()).num_classes()))
-        });
-    }
     group.finish();
 }
 
@@ -116,7 +102,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2));
     targets = bench_signature_sets,
     bench_vs_baselines,
-    bench_key_modes,
     bench_hierarchical,
     bench_parallel_scaling
 }

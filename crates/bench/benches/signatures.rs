@@ -3,12 +3,13 @@
 //!
 //! Supports the paper's claim that the classifier needs "only bitwise
 //! operations and hash" — the per-function cost is polynomial in `n` and
-//! linear in the table size, with OSDV the most expensive family.
+//! linear in the table size, with OSDV the most expensive family. The
+//! kernel-versus-reference comparison is the `trajectory` binary's job
+//! (`BENCH_signatures.json`, floored by `check_bench`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use facepoint_bench::{balanced_workload, random_workload};
-use facepoint_core::{fnv128, SignatureKernel};
-use facepoint_sig::{msv, msv_reference, ocv1, ocv2, oiv, osdv, osv_histogram, SignatureSet};
+use facepoint_bench::random_workload;
+use facepoint_sig::{msv, ocv1, ocv2, oiv, osdv, osv_histogram, SignatureSet};
 use std::hint::black_box;
 
 fn bench_signatures(c: &mut Criterion) {
@@ -61,40 +62,12 @@ fn bench_signatures(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance benchmark of the zero-allocation kernel: balanced
-/// random tables (worst case — every function runs the dual-polarity
-/// path) keyed with `SignatureSet::all()`, kernel vs. the two-pass
-/// reference.
-fn bench_signature_key(c: &mut Criterion) {
-    let mut group = c.benchmark_group("signature_key_balanced");
-    let set = SignatureSet::all();
-    for n in [6usize, 8, 10] {
-        let fns = balanced_workload(n, 64, 0xBA1A);
-        group.bench_with_input(BenchmarkId::new("kernel", n), &fns, |b, fns| {
-            let mut kernel = SignatureKernel::new(set);
-            b.iter(|| {
-                for f in fns {
-                    black_box(kernel.key(f));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("reference", n), &fns, |b, fns| {
-            b.iter(|| {
-                for f in fns {
-                    black_box(fnv128(msv_reference(f, set).as_words()));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_signatures, bench_signature_key
+    targets = bench_signatures
 }
 criterion_main!(benches);

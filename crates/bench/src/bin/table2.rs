@@ -9,7 +9,7 @@
 //!
 //! Columns mirror the paper: exact class count first, then the eight
 //! signature configurations. Our absolute counts differ from the paper's
-//! (different benchmark circuits — see DESIGN.md §3), but the column
+//! (synthesized circuits stand in for the EPFL suite), but the column
 //! *ordering* and the arity where each configuration stops being exact
 //! reproduce.
 #![forbid(unsafe_code)]

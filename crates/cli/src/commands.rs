@@ -55,6 +55,8 @@ const USAGE: &str = "facepoint <classify|sig|canon|match|cuts|suite|recover|serv
                                            synthetic benchmark workload; with
                                            --classify, stream it through the
                                            engine and report classes instead
+                                           (--certified, --parallel and
+                                           --persist imply --classify)
   recover <dir> [FILE]                     read a persisted class store without
                                            writing; with FILE, diff the stored
                                            census against a one-shot
@@ -109,7 +111,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 fn positional(args: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
     let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
+    for a in args {
         if skip {
             skip = false;
             continue;
@@ -118,9 +120,8 @@ fn positional(args: &[String]) -> Vec<&String> {
             // Flags with values; boolean flags are known by name.
             skip = !matches!(
                 a.as_str(),
-                "--exact" | "--verbose" | "--classify" | "--certified"
+                "--exact" | "--verbose" | "--classify" | "--certified" | "--metrics"
             );
-            let _ = i;
             continue;
         }
         out.push(a);
@@ -378,21 +379,34 @@ fn suite(args: &[String]) -> Result<String, CliError> {
         .unwrap_or(1000);
     let fns = facepoint_aig::cut_workload(support, limit);
     let persist = flag_value(args, "--persist");
-    if args.iter().any(|a| a == "--classify") || persist.is_some() {
+    let certified = args.iter().any(|a| a == "--certified");
+    let parallel = parallel_flag(args)?;
+    // Every engine flag implies --classify, as they imply the engine in
+    // `classify`.
+    if args.iter().any(|a| a == "--classify")
+        || persist.is_some()
+        || certified
+        || parallel.is_some()
+    {
         // Route the workload through the streaming engine instead of
         // printing it — the end-to-end Section V flow as one command.
-        let workers = parallel_flag(args)?.unwrap_or(0);
-        let resolution = if args.iter().any(|a| a == "--certified") {
+        let resolution = if certified {
             Resolution::Certified
         } else {
             Resolution::Digest
         };
-        let (classification, engine_line) =
-            engine_classify(fns, SignatureSet::all(), workers, persist, resolution)?;
+        let (classification, engine_line) = engine_classify(
+            fns,
+            SignatureSet::all(),
+            parallel.unwrap_or(0),
+            persist,
+            resolution,
+        )?;
         let mut out = format!(
-            "{} cut functions, {} candidate classes (signatures: {})\n",
+            "{} cut functions, {} {} classes (signatures: {})\n",
             classification.num_functions(),
             classification.num_classes(),
+            if certified { "certified" } else { "candidate" },
             SignatureSet::all(),
         );
         out.push_str(&engine_line);
@@ -879,6 +893,24 @@ mod tests {
     }
 
     #[test]
+    fn suite_engine_flags_imply_classify() {
+        let suite = |flags: &[&str]| {
+            let mut argv = vec!["suite", "--support", "4", "--limit", "100"];
+            argv.extend_from_slice(flags);
+            run(&args(&argv)).unwrap()
+        };
+        for flags in [&["--certified"][..], &["--classify", "--certified"]] {
+            let out = suite(flags);
+            assert!(out.contains("certified classes"), "{flags:?}: {out}");
+            assert!(out.contains("engine:"), "{flags:?}: {out}");
+        }
+        let out = suite(&["--parallel", "1"]);
+        assert!(out.contains("100 cut functions"), "{out}");
+        assert!(out.contains("candidate classes"), "{out}");
+        assert!(out.contains("engine:"), "{out}");
+    }
+
+    #[test]
     fn suite_emits_parseable_tables() {
         let out = run(&args(&["suite", "--support", "4", "--limit", "10"])).unwrap();
         let lines: Vec<&str> = out.lines().collect();
@@ -1143,14 +1175,20 @@ mod tests {
         assert!(out.contains("representative 3:"), "{out}");
         assert!(out.contains("server: "), "{out}");
 
-        // --metrics scrapes the telemetry snapshot instead of streaming.
-        let scrape = run(&args(&["client", &addr.to_string(), "--metrics"])).unwrap();
-        assert!(scrape.contains("engine_workers 2.000000\n"), "{scrape}");
-        assert!(
-            scrape.contains("engine_functions_processed_total 4\n"),
-            "{scrape}"
-        );
-        assert!(scrape.contains("serve_metrics_nanos_count"), "{scrape}");
+        // --metrics scrapes the telemetry snapshot instead of streaming,
+        // whether it comes after the address or before it.
+        for argv in [
+            ["client", &addr.to_string(), "--metrics"],
+            ["client", "--metrics", &addr.to_string()],
+        ] {
+            let scrape = run(&args(&argv)).unwrap();
+            assert!(scrape.contains("engine_workers 2.000000\n"), "{scrape}");
+            assert!(
+                scrape.contains("engine_functions_processed_total 4\n"),
+                "{scrape}"
+            );
+            assert!(scrape.contains("serve_metrics_nanos_count"), "{scrape}");
+        }
 
         handle.shutdown();
         let report = run_thread.join().unwrap().unwrap().unwrap();

@@ -7,20 +7,9 @@
 //! property the paper demonstrates in its Fig. 5.
 
 use crate::kernel::SignatureKernel;
-use facepoint_sig::{Msv, SignatureSet};
+use facepoint_sig::SignatureSet;
 use facepoint_truth::TruthTable;
 use std::collections::HashMap;
-
-/// How classification keys are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KeyMode {
-    /// 128-bit FNV-1a digest of the MSV: constant memory per class,
-    /// deterministic, collision odds ≈ 10⁻²⁰ at 10⁶ functions.
-    #[default]
-    Digest,
-    /// The full MSV as the map key: collision-free, more memory.
-    Full,
-}
 
 /// The NPN classifier of the paper (Algorithm 1).
 ///
@@ -48,18 +37,17 @@ pub enum KeyMode {
 #[derive(Debug, Clone)]
 pub struct Classifier {
     set: SignatureSet,
-    key_mode: KeyMode,
     threads: usize,
 }
 
 /// The 128-bit signature key of one function — the per-function work of
 /// Algorithm 1 in digest form: `fnv128(msv(f, set))`.
 ///
-/// This is exactly the key [`Classifier::classify`] buckets on in
-/// [`KeyMode::Digest`], exposed so external drivers (the streaming
-/// engine, caches, persistent stores) can compute keys without going
-/// through a `Classifier`. Equal keys of same-`set` calls are necessary
-/// for NPN equivalence (up to the ≈ 10⁻²⁰ digest-collision odds).
+/// This is exactly the key [`Classifier::classify`] buckets on, exposed
+/// so external drivers (the streaming engine, caches, persistent
+/// stores) can compute keys without going through a `Classifier`.
+/// Equal keys of same-`set` calls are necessary for NPN equivalence (up
+/// to the ≈ 10⁻²⁰ digest-collision odds at 10⁶ functions).
 ///
 /// # Examples
 ///
@@ -78,21 +66,10 @@ pub fn signature_key(f: &TruthTable, set: SignatureSet) -> u128 {
 }
 
 impl Classifier {
-    /// Creates a classifier over the given signature families
-    /// (digest keys, single-threaded).
+    /// Creates a single-threaded classifier over the given signature
+    /// families.
     pub fn new(set: SignatureSet) -> Self {
-        Classifier {
-            set,
-            key_mode: KeyMode::Digest,
-            threads: 1,
-        }
-    }
-
-    /// Switches to collision-free full-vector keys.
-    #[must_use]
-    pub fn with_key_mode(mut self, mode: KeyMode) -> Self {
-        self.key_mode = mode;
-        self
+        Classifier { set, threads: 1 }
     }
 
     /// Computes signatures on `threads` worker threads (the hash join
@@ -122,102 +99,33 @@ impl Classifier {
     /// `n ≤ 7` with `OIV+OSV+OSDV`).
     pub fn classify(&self, fns: impl IntoIterator<Item = TruthTable>) -> Classification {
         let fns: Vec<TruthTable> = fns.into_iter().collect();
-        match self.key_mode {
-            // The digest path buckets on exactly `signature_key`,
-            // streamed off the kernel — the MSV is never materialized.
-            KeyMode::Digest => {
-                let keys = self.map_with_kernel(&fns, |kernel, f| kernel.key(f));
-                self.group(fns, keys)
-            }
-            KeyMode::Full => {
-                let msvs: Vec<Msv> = self.map_with_kernel(&fns, |kernel, f| kernel.msv(f));
-                self.group(fns, msvs)
-            }
-        }
+        // Buckets on exactly `signature_key`, streamed off the kernel —
+        // the MSV is never materialized.
+        let keys = self.keys(&fns);
+        Classification::group(fns, keys)
     }
 
-    /// Applies `per_fn` to every table, giving each worker thread one
-    /// reusable [`SignatureKernel`] for the whole chunk (scratch
-    /// buffers warm up once per thread, not once per function).
-    fn map_with_kernel<T, F>(&self, fns: &[TruthTable], per_fn: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut SignatureKernel, &TruthTable) -> T + Sync,
-    {
+    /// The signature key of every table, each worker thread reusing one
+    /// [`SignatureKernel`] for its whole chunk (scratch buffers warm up
+    /// once per thread, not once per function).
+    fn keys(&self, fns: &[TruthTable]) -> Vec<u128> {
         if self.threads <= 1 || fns.len() < 2 * self.threads {
             let mut kernel = SignatureKernel::new(self.set);
-            return fns.iter().map(|f| per_fn(&mut kernel, f)).collect();
+            return fns.iter().map(|f| kernel.key(f)).collect();
         }
         let chunk = fns.len().div_ceil(self.threads);
-        let mut out: Vec<Option<T>> = Vec::with_capacity(fns.len());
-        out.resize_with(fns.len(), || None);
+        let mut keys = vec![0; fns.len()];
         std::thread::scope(|scope| {
-            for (fns_chunk, out_chunk) in fns.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                let per_fn = &per_fn;
+            for (fns_chunk, keys_chunk) in fns.chunks(chunk).zip(keys.chunks_mut(chunk)) {
                 scope.spawn(move || {
                     let mut kernel = SignatureKernel::new(self.set);
-                    for (f, slot) in fns_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(per_fn(&mut kernel, f));
+                    for (f, slot) in fns_chunk.iter().zip(keys_chunk) {
+                        *slot = kernel.key(f);
                     }
                 });
             }
         });
-        out.into_iter()
-            .map(|m| m.expect("all slots filled"))
-            .collect()
-    }
-
-    fn group<K: std::hash::Hash + Eq>(
-        &self,
-        fns: Vec<TruthTable>,
-        keys: impl IntoIterator<Item = K>,
-    ) -> Classification {
-        let mut map: HashMap<K, usize> = HashMap::with_capacity(fns.len());
-        let mut classes: Vec<NpnClass> = Vec::new();
-        let mut labels = Vec::with_capacity(fns.len());
-        for (f, key) in fns.into_iter().zip(keys) {
-            let next = classes.len();
-            let id = *map.entry(key).or_insert(next);
-            if id == next {
-                classes.push(NpnClass {
-                    id,
-                    representative: f,
-                    size: 1,
-                });
-            } else {
-                classes[id].size += 1;
-            }
-            labels.push(id);
-        }
-        Classification { labels, classes }
-    }
-}
-
-/// Internal constructor turning raw group assignments into a
-/// [`Classification`] (compacts ids to first-occurrence order).
-pub(crate) struct NpnClassBuilder;
-
-impl NpnClassBuilder {
-    pub(crate) fn build(fns: Vec<TruthTable>, group_of: &[usize]) -> Classification {
-        debug_assert_eq!(fns.len(), group_of.len());
-        let mut remap: HashMap<usize, usize> = HashMap::with_capacity(fns.len());
-        let mut classes: Vec<NpnClass> = Vec::new();
-        let mut labels = Vec::with_capacity(fns.len());
-        for (f, &g) in fns.into_iter().zip(group_of) {
-            let next = classes.len();
-            let id = *remap.entry(g).or_insert(next);
-            if id == next {
-                classes.push(NpnClass {
-                    id,
-                    representative: f,
-                    size: 1,
-                });
-            } else {
-                classes[id].size += 1;
-            }
-            labels.push(id);
-        }
-        Classification { labels, classes }
+        keys
     }
 }
 
@@ -298,6 +206,33 @@ impl Classification {
         Classification { labels, classes }
     }
 
+    /// Groups `fns` by equal keys (one per function): compact class ids
+    /// in first-occurrence order, each class represented by its first
+    /// member.
+    pub(crate) fn group<K: std::hash::Hash + Eq>(
+        fns: Vec<TruthTable>,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Self {
+        let mut map: HashMap<K, usize> = HashMap::with_capacity(fns.len());
+        let mut classes: Vec<NpnClass> = Vec::new();
+        let mut labels = Vec::with_capacity(fns.len());
+        for (f, key) in fns.into_iter().zip(keys) {
+            let next = classes.len();
+            let id = *map.entry(key).or_insert(next);
+            if id == next {
+                classes.push(NpnClass {
+                    id,
+                    representative: f,
+                    size: 1,
+                });
+            } else {
+                classes[id].size += 1;
+            }
+            labels.push(id);
+        }
+        Classification { labels, classes }
+    }
+
     /// Number of candidate NPN classes found.
     pub fn num_classes(&self) -> usize {
         self.classes.len()
@@ -338,6 +273,7 @@ impl Classification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use facepoint_sig::msv_reference;
     use facepoint_truth::NpnTransform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -364,15 +300,17 @@ mod tests {
         assert_eq!(total, 48);
     }
 
+    /// Bucketing on the 128-bit digest gives the partition that
+    /// bucketing on the full reference MSV gives.
     #[test]
     fn digest_and_full_keys_agree() {
         let fns = workload(5, 10, 4, 2);
-        let a = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let b = Classifier::new(SignatureSet::all())
-            .with_key_mode(KeyMode::Full)
-            .classify(fns);
-        assert_eq!(a.num_classes(), b.num_classes());
-        assert_eq!(a.labels(), b.labels());
+        let set = SignatureSet::all();
+        let full: Vec<_> = fns.iter().map(|f| msv_reference(f, set)).collect();
+        let by_digest = Classifier::new(set).classify(fns.clone());
+        let by_msv = Classification::group(fns, full);
+        assert_eq!(by_digest.num_classes(), by_msv.num_classes());
+        assert_eq!(by_digest.labels(), by_msv.labels());
     }
 
     #[test]

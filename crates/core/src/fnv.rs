@@ -4,8 +4,9 @@
 //! Vector (the paper's Algorithm 1, line 7, "class ← hash(MSV)"). A
 //! fixed, seedless hash keeps classification results reproducible across
 //! runs and platforms; 128 bits make collisions irrelevant at any
-//! realistic workload size (≈ 10⁻²⁰ at a million keys). The collision-free
-//! alternative is [`KeyMode::Full`](crate::KeyMode::Full).
+//! realistic workload size (≈ 10⁻²⁰ at a million keys). A collision
+//! could only merge classes, and the engine's certified tier splits any
+//! digest bucket into proved NPN classes regardless.
 
 /// FNV-1a 128-bit offset basis.
 const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;

@@ -24,7 +24,7 @@
 //! to the smaller side for all later stages. The resulting concatenated
 //! key equals the flat MSV, so the partitions coincide.
 
-use crate::classifier::{Classification, Classifier, NpnClassBuilder};
+use crate::classifier::{Classification, Classifier};
 use facepoint_sig::{SigKernel, STAGE_ORDER};
 use facepoint_truth::TruthTable;
 use std::collections::HashMap;
@@ -97,10 +97,9 @@ impl Classifier {
             map.len()
         };
 
-        // One kernel for the whole refinement: sections of `¬f` are
-        // derived from `f`'s ingredients (never materialized), and a
-        // function's sensitivity profile is shared between its OSV and
-        // OSDV stages via the kernel's ingredient cache.
+        // One kernel for the whole refinement, its scratch reused across
+        // every call: sections of `¬f` are derived from `f`'s
+        // ingredients (never materialized).
         let mut kernel = SigKernel::new();
         let mut key_buf: Vec<u64> = Vec::new();
         for stage in STAGE_ORDER {
@@ -165,7 +164,7 @@ impl Classifier {
             num_groups = next_groups;
         }
 
-        NpnClassBuilder::build(fns, &group_of)
+        Classification::group(fns, group_of)
     }
 }
 

@@ -9,7 +9,7 @@
 //! allocations and never materializes the vector.
 
 use crate::fnv::Fnv128Stream;
-use facepoint_sig::{Msv, SigKernel, SignatureSet};
+use facepoint_sig::{SigKernel, SignatureSet};
 use facepoint_truth::TruthTable;
 
 /// A reusable signature-key computer over a fixed [`SignatureSet`].
@@ -78,12 +78,6 @@ impl SignatureKernel {
     // analysis: no_alloc
     pub fn msv_into(&mut self, f: &TruthTable, out: &mut Vec<u64>) {
         self.kernel.msv_into(f, self.set, out);
-    }
-
-    /// The canonical MSV of `f` as an owned value (allocates the
-    /// result; scratch is still reused).
-    pub fn msv(&mut self, f: &TruthTable) -> Msv {
-        self.kernel.msv(f, self.set)
     }
 }
 

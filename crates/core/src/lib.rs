@@ -52,7 +52,7 @@ mod refine;
 pub mod wire;
 
 pub use census::{CensusEntry, CensusView};
-pub use classifier::{signature_key, Classification, Classifier, KeyMode, NpnClass};
+pub use classifier::{signature_key, Classification, Classifier, NpnClass};
 pub use fnv::{fnv128, Fnv128Stream};
 pub use kernel::SignatureKernel;
 pub use metrics::PartitionComparison;

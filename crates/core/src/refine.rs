@@ -8,7 +8,7 @@
 //! always pure, the exact pass costs little more than the signature pass.
 
 use crate::classifier::Classification;
-use facepoint_exact::{are_npn_equivalent, UnionFind};
+use facepoint_exact::refine_buckets;
 use facepoint_truth::TruthTable;
 
 /// Exact class labels obtained by refining `classification` (produced on
@@ -42,29 +42,7 @@ pub fn refine_to_exact(
         classification.num_functions(),
         "classification must label exactly these functions"
     );
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); classification.num_classes()];
-    for (i, &label) in classification.labels().iter().enumerate() {
-        buckets[label].push(i);
-    }
-    let mut uf = UnionFind::new(fns.len());
-    for members in &buckets {
-        let mut reps: Vec<usize> = Vec::new();
-        for &i in members {
-            let mut joined = false;
-            for &r in &reps {
-                if are_npn_equivalent(&fns[i], &fns[r]) {
-                    uf.union(i, r);
-                    joined = true;
-                    break;
-                }
-            }
-            if !joined {
-                reps.push(i);
-            }
-        }
-    }
-    let labels = uf.labels();
-    facepoint_exact::ClassLabels::from_keys(labels)
+    refine_buckets(fns, classification.labels())
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Property-based tests of the classifier layer: partition soundness
-//! against ground truth, key-mode and threading equivalence, and metric
-//! coherence.
+//! against ground truth, digest-versus-full-key and threading
+//! equivalence, and metric coherence.
 
-use facepoint_core::{refine_to_exact, Classifier, KeyMode, PartitionComparison};
-use facepoint_exact::exact_classify;
-use facepoint_sig::SignatureSet;
+use facepoint_core::{refine_to_exact, Classifier, PartitionComparison};
+use facepoint_exact::{exact_classify, ClassLabels};
+use facepoint_sig::{msv_reference, SignatureSet};
 use facepoint_truth::{NpnTransform, Permutation, TruthTable};
 use proptest::prelude::*;
 
@@ -48,12 +48,12 @@ proptest! {
         prop_assert!(ours.num_classes() <= exact.num_classes());
     }
 
+    // The digest partition is the partition of the full reference MSVs.
     #[test]
     fn key_modes_agree(fns in arb_workload()) {
-        let digest = Classifier::new(SignatureSet::all()).classify(fns.clone());
-        let full = Classifier::new(SignatureSet::all())
-            .with_key_mode(KeyMode::Full)
-            .classify(fns);
+        let set = SignatureSet::all();
+        let digest = Classifier::new(set).classify(fns.clone());
+        let full = ClassLabels::from_keys(fns.iter().map(|f| msv_reference(f, set)));
         prop_assert_eq!(digest.labels(), full.labels());
     }
 

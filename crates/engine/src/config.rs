@@ -69,11 +69,11 @@ pub enum Resolution {
     Digest,
     /// Every digest bucket is additionally resolved into **proved**
     /// NPN classes: a bucket's first member is canonicalized eagerly
-    /// (Gray-code walk, influence/cofactor-pruned above six
-    /// variables), later members take the exact pairwise-matcher
-    /// witness path against the cached representative. The census
-    /// then counts exact NPN classes and every representative is a
-    /// proved one.
+    /// (the influence-aided canonical walk of
+    /// `facepoint_exact::certified_canonical`, one walk at every
+    /// arity), later members take the exact pairwise-matcher witness
+    /// path against the cached representative. The census then counts
+    /// exact NPN classes and every representative is a proved one.
     Certified,
 }
 
@@ -89,8 +89,7 @@ impl std::fmt::Display for Resolution {
 /// Configuration of an [`Engine`](crate::Engine).
 ///
 /// The defaults are tuned for throughput on commodity multi-core
-/// machines; every knob exists because it moved a benchmark
-/// (`facepoint-bench`'s `engine` bench exercises the space).
+/// machines (`facepoint-bench`'s `engine` bench exercises the space).
 ///
 /// Build configurations through [`EngineConfig::builder`], which
 /// validates and clamps every knob in one place:
@@ -108,9 +107,8 @@ impl std::fmt::Display for Resolution {
 /// assert_eq!(engine.config().workers, 2);
 /// ```
 ///
-/// Struct-literal construction (`EngineConfig { .. }` with field
-/// access) remains supported for one deprecation cycle; new code
-/// should use the builder.
+/// The fields are public, so a struct literal over
+/// [`EngineConfig::default`] works as well.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Signature families used for keys (default: the paper's "All").

@@ -614,7 +614,7 @@ impl Engine {
             // stored representative's signature digest equals its whole
             // class's digest (signatures are NPN invariants), so
             // re-keying the representatives reconstructs exactly the
-            // buckets the previous process had — no Gray-code walk is
+            // buckets the previous process had — no canonical walk is
             // repeated for a recovered class.
             store.for_each(|_, entry| {
                 resolver.prime(

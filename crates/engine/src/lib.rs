@@ -30,9 +30,9 @@
 //!   repeated-function traffic (cut workloads repeat heavily);
 //! * **certifies** — [`Resolution::Certified`] resolves every digest
 //!   bucket into **proved** NPN classes: a bucket's first member is
-//!   canonicalized eagerly (Gray-code walk, influence/cofactor-pruned
-//!   above six variables), later members take the exact
-//!   pairwise-matcher witness path against the cached representative,
+//!   canonicalized eagerly (one influence-aided canonical walk at every
+//!   arity), later members take the exact pairwise-matcher witness
+//!   path against the cached representative,
 //!   and [`Engine::canon`] answers point queries with the proved
 //!   representative plus a witness transform;
 //! * **persists** — [`Engine::builder`]`.persist(dir)` journals every

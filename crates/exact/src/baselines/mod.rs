@@ -7,8 +7,9 @@
 //! orbit, these classifiers can never merge two distinct classes — but
 //! they *over-split* whenever their tie-breaking rules map equivalent
 //! functions to different representatives. This is the mirror image of
-//! the paper's signature classifier, which can only *merge* (see
-//! DESIGN.md §3, substitution 2).
+//! the paper's signature classifier, which can only *merge*. They
+//! reimplement the published ideas behind the ABC commands the paper
+//! ran, not ABC's code.
 //!
 //! | baseline | ABC flag | published idea | behaviour reproduced |
 //! |---|---|---|---|

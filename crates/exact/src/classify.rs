@@ -10,7 +10,7 @@
 
 use crate::matcher::are_npn_equivalent;
 use crate::unionfind::UnionFind;
-use facepoint_sig::{msv, Msv, SignatureSet};
+use facepoint_sig::{msv, SignatureSet};
 use facepoint_truth::TruthTable;
 use std::collections::HashMap;
 
@@ -82,37 +82,40 @@ impl ClassLabels {
 /// # Ok::<(), facepoint_truth::Error>(())
 /// ```
 pub fn exact_classify(fns: &[TruthTable]) -> ClassLabels {
+    let buckets = ClassLabels::from_keys(fns.iter().map(|f| msv(f, SignatureSet::all())));
+    refine_buckets(fns, buckets.labels())
+}
+
+/// Exact classes of `fns` from a bucket label per function, where
+/// equivalent functions always share a bucket (any signature
+/// partition qualifies): the exact pairwise matcher runs inside each
+/// bucket only, comparing each member against one representative per
+/// sub-class found so far (not all pairs), and a union–find collects
+/// the verdicts. Labels are compact, in first-occurrence order.
+///
+/// # Panics
+///
+/// Panics if `buckets` does not hold exactly one label per function.
+pub fn refine_buckets(fns: &[TruthTable], buckets: &[usize]) -> ClassLabels {
+    assert_eq!(
+        fns.len(),
+        buckets.len(),
+        "one bucket label per function is required"
+    );
     let mut uf = UnionFind::new(fns.len());
-    let mut buckets: HashMap<Msv, Vec<usize>> = HashMap::new();
-    for (i, f) in fns.iter().enumerate() {
-        buckets
-            .entry(msv(f, SignatureSet::all()))
-            .or_default()
-            .push(i);
-    }
-    for members in buckets.values() {
-        // Within a bucket, compare each member against one representative
-        // per discovered sub-class (not all pairs).
-        let mut reps: Vec<usize> = Vec::new();
-        for &i in members {
-            let mut joined = false;
-            for &r in &reps {
-                if are_npn_equivalent(&fns[i], &fns[r]) {
-                    uf.union(i, r);
-                    joined = true;
-                    break;
-                }
+    let mut reps: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (i, &bucket) in buckets.iter().enumerate() {
+        let reps = reps.entry(bucket).or_default();
+        match reps.iter().find(|&&r| are_npn_equivalent(&fns[i], &fns[r])) {
+            Some(&r) => {
+                uf.union(i, r);
             }
-            if !joined {
-                reps.push(i);
-            }
+            None => reps.push(i),
         }
     }
-    let labels = uf.labels();
-    let num_classes = uf.num_sets();
     ClassLabels {
-        labels,
-        num_classes,
+        num_classes: uf.num_sets(),
+        labels: uf.labels(),
     }
 }
 

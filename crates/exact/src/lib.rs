@@ -22,6 +22,8 @@
 //! * [`exact_classify`] — exact classification at any arity: signature
 //!   buckets (sound: signatures are necessary conditions) refined by the
 //!   matcher inside each bucket (complete: the matcher is exact).
+//!   [`refine_buckets`] is that refinement step on its own, for any
+//!   sound bucketing.
 //!
 //! The [`baselines`] module reimplements the three published heuristics
 //! the paper compares against (`testnpn -6 / -7 / -11`).
@@ -52,7 +54,7 @@ mod matcher;
 mod resolver;
 mod unionfind;
 
-pub use classify::{exact_classify, exact_classify_canonical, ClassLabels};
+pub use classify::{exact_classify, exact_classify_canonical, refine_buckets, ClassLabels};
 pub use enumerate::{
     all_permutations, all_transforms, factorial, gray_flip_bit, npn_orbit_size, plain_changes,
 };

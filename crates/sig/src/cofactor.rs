@@ -203,7 +203,8 @@ mod tests {
 
     #[test]
     fn table1_projection_values() {
-        // f3 of Fig. 1c is the single-variable projection (see DESIGN.md).
+        // f3 of Fig. 1c is the single-variable projection, recovered
+        // from its published signature values.
         let f3 = TruthTable::projection(3, 2).unwrap();
         assert_eq!(ocv1(&f3), vec![0, 2, 2, 2, 2, 4]);
         assert_eq!(ocv2(&f3), vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);

@@ -6,34 +6,27 @@
 //! unordered pairs of minterms that share that local sensitivity.
 //! `OSDV1`/`OSDV0` restrict the pairs to 1-/0-minterms.
 //!
-//! Two engines compute the pair histograms and are differential-tested
-//! against each other:
+//! Each sensitivity group's pair histogram is counted one of two ways,
+//! chosen by the group's population `p`: small groups enumerate their
+//! pairs and histogram `popcount(X ⊕ Y)` (`O(p²)`), populous groups use
+//! a Walsh–Hadamard spectral tail (`O(n·2^n)` whatever `p` is). Two
+//! paths apply that rule, each with its own tail:
 //!
-//! * [`OsdvEngine::Pairwise`] — group minterms by sensitivity, histogram
-//!   `popcount(X ⊕ Y)` over every in-group pair: `O(Σ|G|²)`, excellent for
-//!   sparse groups;
-//! * [`OsdvEngine::Wht`] — per group, a Walsh–Hadamard spectral pass
-//!   gives the count of pairs at every distance in `O(n·2^n)` regardless
-//!   of group size.
-//!
-//! [`OsdvEngine::Auto`] (the default) picks per group based on the group
-//! population.
-//!
-//! The spectral engine itself comes in two forms. [`osdv_rows_into`]
-//! keeps the classic two-transform XOR autocorrelation
-//! (`WHT(WHT(a)²)/2^n`, then bin the `2^n` differences by popcount) —
-//! it is the frozen reference tail that [`crate::msv_reference`]
-//! benchmarks against. The kernel's fused sweep
-//! ([`osdv_point_sections_into`]) uses a **single-transform,
-//! weight-binned** tail instead: with `W = WHT(a)` and the per-weight
-//! energies `E_w = Σ_{|s|=w} W[s]²`, the distance
-//! histogram is `δ_j = (Σ_w K_j(w)·E_w) / 2^{n+1}` where `K_j` are the
-//! binary Krawtchouk polynomials. That removes the inverse transform,
-//! the squaring pass, and the difference binning; and because the two
-//! polarity groups of a level partition its minterms, the level
-//! indicator's transform `S` is shared: `WHT(g0) = S − WHT(g1)`, one
-//! subtraction inside the energy pass instead of a second butterfly
-//! cascade over a freshly encoded group.
+//! * **the kernel's fused sweep** (`osdv_point_sections_into`, behind
+//!   [`crate::SigKernel`]) goes spectral once `p² ≥ n·2^n / 2`, with a
+//!   **single-transform, weight-binned** tail: with `W = WHT(a)` and the
+//!   per-weight energies `E_w = Σ_{|s|=w} W[s]²`, the distance
+//!   histogram is `δ_j = (Σ_w K_j(w)·E_w) / 2^{n+1}` where `K_j` are the
+//!   binary Krawtchouk polynomials. Because the two polarity groups of
+//!   a level partition its minterms, the level indicator's transform
+//!   `S` is shared: `WHT(g0) = S − WHT(g1)`, one subtraction inside the
+//!   energy pass instead of a second butterfly cascade;
+//! * **the reference path** ([`osdv`], [`osdv0`], [`osdv1`] and
+//!   [`crate::msv_reference`]) goes spectral once `p² ≥ n·2^n`, with the
+//!   classic two-transform XOR autocorrelation (`WHT(WHT(a)²)/2^n`,
+//!   then bin the `2^n` differences by popcount). It is the independent
+//!   oracle the kernel is differential-tested against and the baseline
+//!   of its benchmarked speedup.
 
 use crate::sensitivity::SensitivityProfile;
 use crate::spectral::{wht_in_place, xor_autocorrelation_into};
@@ -41,53 +34,42 @@ use facepoint_truth::words::WORD_VARS;
 use facepoint_truth::TruthTable;
 use std::fmt;
 
-/// Divisor applied to the classic `n·2^n` crossover to get the
-/// [`OsdvEngine::Auto`] threshold of the single-transform spectral tail
-/// ([`auto_crossover`]). The weight-binned tail runs one butterfly
-/// cascade where the autocorrelation runs two plus a squaring pass, so
-/// it breaks even against pairwise counting at roughly half the group
-/// population product; the value is pinned by a unit test and was
-/// tuned on the `trajectory` workload.
-pub const AUTO_SPECTRAL_DIVISOR: u64 = 2;
-
-/// The [`OsdvEngine::Auto`] crossover of the single-transform spectral
-/// tail: a group of population `p` is counted spectrally when
-/// `p² ≥ auto_crossover(n)`, pairwise otherwise.
-pub const fn auto_crossover(num_vars: usize) -> u64 {
-    classic_crossover(num_vars) / AUTO_SPECTRAL_DIVISOR
-}
-
-/// The [`OsdvEngine::Auto`] crossover of the classic two-transform
-/// autocorrelation tail used by [`osdv_rows_into`]: pairwise while
-/// `p² < n·2^n`, the autocorrelation's operation count.
-pub const fn classic_crossover(num_vars: usize) -> u64 {
+/// Crossover of the reference path's classic autocorrelation tail: a
+/// group of population `p` is counted spectrally when `p² ≥ n·2^n`, the
+/// autocorrelation's operation count, and pairwise otherwise.
+const fn classic_crossover(num_vars: usize) -> u64 {
     (num_vars as u64) << num_vars
 }
 
-/// Reusable scratch buffers for [`osdv_rows_into`] — owning these lets
-/// the signature kernel compute OSDVs with zero steady-state heap
-/// allocations.
-#[derive(Debug, Default, Clone)]
-pub struct OsdvScratch {
-    /// Bit-packed indicator of the current sensitivity group.
-    group: Vec<u64>,
-    /// Bit-packed indicator of the 1-polarity group in the fused sweep
-    /// (`group` then holds the 0-polarity half).
-    group1: Vec<u64>,
-    /// Unfiltered indicator, shared by both polarity groups in the
-    /// fused sweep.
+/// Crossover of the kernel's weight-binned tail: half the classic one.
+/// The tail runs one butterfly cascade where the autocorrelation runs
+/// two plus a squaring pass, so it breaks even against pairwise
+/// counting at roughly half the population product (tuned on the
+/// `trajectory` workload and pinned by a unit test).
+const fn krawtchouk_crossover(num_vars: usize) -> u64 {
+    classic_crossover(num_vars) / 2
+}
+
+/// Reusable scratch buffers of the kernel's fused point sweep — owning
+/// these lets the signature kernel compute OSDVs with zero steady-state
+/// heap allocations.
+#[derive(Debug, Default)]
+pub(crate) struct OsdvScratch {
+    /// Unfiltered indicator of the current sensitivity level.
     ind: Vec<u64>,
-    /// Expanded member list for the pairwise engine.
+    /// Bit-packed indicator of the level's 0-polarity group.
+    group0: Vec<u64>,
+    /// Bit-packed indicator of the level's 1-polarity group.
+    group1: Vec<u64>,
+    /// Expanded member list for pairwise counting.
     members: Vec<u64>,
-    /// Walsh–Hadamard workspace for the classic autocorrelation engine.
-    wht: Vec<i64>,
     /// Workspace of the single-transform weight-binned spectral tail.
     tail: SpectralTail,
 }
 
 /// Scratch of the weight-binned spectral pair counter: transform
 /// buffers, per-weight energies, and the cached Krawtchouk table.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SpectralTail {
     /// Transform buffer for a single group (holds `WHT(g1)` on the
     /// shared path).
@@ -104,24 +86,9 @@ struct SpectralTail {
     kraw_n: Option<usize>,
 }
 
-/// Strategy for counting equal-sensitivity minterm pairs by distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OsdvEngine {
-    /// Always enumerate pairs inside each sensitivity group.
-    Pairwise,
-    /// Always use the Walsh–Hadamard spectral counter.
-    Wht,
-    /// Choose per group by population: pairwise below the tail's
-    /// crossover ([`classic_crossover`] for [`osdv_rows_into`],
-    /// [`auto_crossover`] for the fused weight-binned tail),
-    /// spectral otherwise.
-    #[default]
-    Auto,
-}
-
 /// Which minterms participate in the pair counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MintermFilter {
+pub(crate) enum MintermFilter {
     /// All `2^n` minterms — the paper's `OSDV`.
     All,
     /// Only minterms with `f(X) = 0` — the paper's `OSDV0`.
@@ -204,78 +171,56 @@ impl fmt::Display for Osdv {
     }
 }
 
-/// Computes an OSDV variant with full control over filter and engine.
-///
-/// [`osdv`], [`osdv0`] and [`osdv1`] are the common shorthands.
-pub fn osdv_with(f: &TruthTable, filter: MintermFilter, engine: OsdvEngine) -> Osdv {
-    let profile = SensitivityProfile::compute(f);
-    osdv_from_profile(f, &profile, filter, engine)
-}
-
-/// Computes an OSDV variant reusing an already-computed sensitivity
-/// profile (the classifier computes OSV and OSDV from one profile, as in
-/// Algorithm 1 line 5).
-pub fn osdv_from_profile(
+/// The reference path: one OSDV variant from an already-computed
+/// sensitivity profile (the reference MSV counts `OSDV0` and `OSDV1`
+/// from one profile, as in Algorithm 1 line 5). Groups count pairwise
+/// below [`classic_crossover`] and by XOR autocorrelation above it.
+pub(crate) fn osdv_from_profile(
     f: &TruthTable,
     profile: &SensitivityProfile,
     filter: MintermFilter,
-    engine: OsdvEngine,
 ) -> Osdv {
-    let mut rows = Vec::new();
-    let mut scratch = OsdvScratch::default();
-    osdv_rows_into(f, profile, filter, engine, &mut scratch, &mut rows);
-    Osdv {
-        num_vars: f.num_vars(),
-        rows,
-    }
-}
-
-/// Writes the row-major `(n+1) × n` OSDV matrix into `rows`, reusing
-/// both the output and the `scratch` buffers — the allocation-free core
-/// of [`osdv_from_profile`]. For `n = 0` the output is empty.
-pub fn osdv_rows_into(
-    f: &TruthTable,
-    profile: &SensitivityProfile,
-    filter: MintermFilter,
-    engine: OsdvEngine,
-    scratch: &mut OsdvScratch,
-    rows: &mut Vec<u64>,
-) {
     let n = f.num_vars();
-    rows.clear();
-    if n == 0 {
-        return;
-    }
-    rows.resize((n + 1) * n, 0);
+    let mut rows = vec![0; (n + 1) * n];
+    let (mut group, mut members, mut wht) = (Vec::new(), Vec::new(), Vec::new());
+    // For n = 0 the single minterm never forms a pair: `rows` stays empty.
     for s in 0..=n as u32 {
-        profile.indicator_into(s, &mut scratch.group);
-        match filter {
-            MintermFilter::All => {}
-            MintermFilter::Zeros => {
-                for (g, fw) in scratch.group.iter_mut().zip(f.words()) {
-                    *g &= !fw;
-                }
-            }
-            MintermFilter::Ones => {
-                for (g, fw) in scratch.group.iter_mut().zip(f.words()) {
-                    *g &= fw;
-                }
-            }
-        }
-        let pop: u64 = scratch.group.iter().map(|w| w.count_ones() as u64).sum();
+        level_group_into(f, profile, s, filter, &mut group);
+        let pop: u64 = group.iter().map(|w| w.count_ones() as u64).sum();
         if pop < 2 {
             continue;
         }
-        let use_pairwise = match engine {
-            OsdvEngine::Pairwise => true,
-            OsdvEngine::Wht => false,
-            OsdvEngine::Auto => pop * pop < classic_crossover(n),
-        };
         let row = &mut rows[s as usize * n..(s as usize + 1) * n];
-        if use_pairwise {
-            count_pairs_naive(&scratch.group, row, &mut scratch.members);
+        if pop * pop < classic_crossover(n) {
+            count_pairs_naive(&group, row, &mut members);
         } else {
-            count_pairs_wht(&scratch.group, n, row, &mut scratch.wht);
+            count_pairs_wht(&group, n, row, &mut wht);
+        }
+    }
+    Osdv { num_vars: n, rows }
+}
+
+/// Bit-packed indicator of the minterms at sensitivity level `s` that
+/// pass `filter`.
+fn level_group_into(
+    f: &TruthTable,
+    profile: &SensitivityProfile,
+    s: u32,
+    filter: MintermFilter,
+    group: &mut Vec<u64>,
+) {
+    profile.indicator_into(s, group);
+    match filter {
+        MintermFilter::All => {}
+        MintermFilter::Zeros => {
+            for (g, fw) in group.iter_mut().zip(f.words()) {
+                *g &= !fw;
+            }
+        }
+        MintermFilter::Ones => {
+            for (g, fw) in group.iter_mut().zip(f.words()) {
+                *g &= fw;
+            }
         }
     }
 }
@@ -288,17 +233,16 @@ pub fn osdv_rows_into(
 /// its 0-/1-minterm halves, whose popcounts are the histogram entries
 /// and whose pair counts fill the rows — versus three independent
 /// indicator sweeps when the histograms and the two filtered OSDVs are
-/// computed separately. Pair counting goes through the weight-binned
-/// spectral tail ([`count_level_pairs`]), which shares the level
-/// indicator's transform across the two polarity groups. All outputs
-/// and scratch reuse their allocations.
+/// computed separately. Pair counting goes through
+/// [`count_level_pairs`], whose weight-binned spectral tail shares the
+/// level indicator's transform across the two polarity groups. All
+/// outputs and scratch reuse their allocations.
 // Four output buffers plus scratch is the point of the API: every
 // consumer owns them all and reuses them across a stream.
 #[allow(clippy::too_many_arguments)]
-pub fn osdv_point_sections_into(
+pub(crate) fn osdv_point_sections_into(
     f: &TruthTable,
     profile: &SensitivityProfile,
-    engine: OsdvEngine,
     scratch: &mut OsdvScratch,
     rows0: &mut Vec<u64>,
     rows1: &mut Vec<u64>,
@@ -314,13 +258,13 @@ pub fn osdv_point_sections_into(
     rows1.resize((n + 1) * n, 0);
     for s in 0..=n as u32 {
         profile.indicator_into(s, &mut scratch.ind);
-        scratch.group.clear();
+        scratch.group0.clear();
         scratch.group1.clear();
         for (&iw, &fw) in scratch.ind.iter().zip(f.words()) {
-            scratch.group.push(iw & !fw);
+            scratch.group0.push(iw & !fw);
             scratch.group1.push(iw & fw);
         }
-        let pop0: u64 = scratch.group.iter().map(|w| w.count_ones() as u64).sum();
+        let pop0: u64 = scratch.group0.iter().map(|w| w.count_ones() as u64).sum();
         let pop1: u64 = scratch.group1.iter().map(|w| w.count_ones() as u64).sum();
         h0.push(pop0);
         h1.push(pop1);
@@ -329,8 +273,7 @@ pub fn osdv_point_sections_into(
         }
         count_level_pairs(
             n,
-            engine,
-            &scratch.group,
+            &scratch.group0,
             pop0,
             &scratch.group1,
             pop1,
@@ -343,10 +286,10 @@ pub fn osdv_point_sections_into(
 }
 
 /// Distance-histograms the two polarity groups of one sensitivity level
-/// into `row0`/`row1` — the level-granular engine dispatcher of the
-/// fused sweep.
+/// into `row0`/`row1` — the per-group tail choice of the fused sweep:
+/// pairwise below [`krawtchouk_crossover`], spectral above it.
 ///
-/// When both groups clear the spectral crossover they share one
+/// When both groups clear the crossover they share one
 /// transform: `S = WHT(g0 ∪ g1)` and `B = WHT(g1)` are computed, and
 /// `WHT(g0) = S − B` falls out as a subtraction fused into the energy
 /// pass, so the level costs two butterfly cascades where independent
@@ -354,7 +297,6 @@ pub fn osdv_point_sections_into(
 #[allow(clippy::too_many_arguments)]
 fn count_level_pairs(
     num_vars: usize,
-    engine: OsdvEngine,
     g0: &[u64],
     pop0: u64,
     g1: &[u64],
@@ -364,11 +306,7 @@ fn count_level_pairs(
     row0: &mut [u64],
     row1: &mut [u64],
 ) {
-    let spectral = |pop: u64| match engine {
-        OsdvEngine::Pairwise => false,
-        OsdvEngine::Wht => true,
-        OsdvEngine::Auto => pop * pop >= auto_crossover(num_vars),
-    };
+    let spectral = |pop: u64| pop * pop >= krawtchouk_crossover(num_vars);
     let s0 = pop0 >= 2 && spectral(pop0);
     let s1 = pop1 >= 2 && spectral(pop1);
     if s0 && s1 {
@@ -503,19 +441,19 @@ fn level_pairs_spectral(
     krawtchouk_rows(&tail.kraw, num_vars, &tail.e1, row1);
 }
 
-/// `OSDV(f)`: pair counts over all minterms (default engine).
+/// `OSDV(f)`: pair counts over all minterms.
 pub fn osdv(f: &TruthTable) -> Osdv {
-    osdv_with(f, MintermFilter::All, OsdvEngine::Auto)
+    osdv_from_profile(f, &SensitivityProfile::compute(f), MintermFilter::All)
 }
 
-/// `OSDV0(f)`: pair counts over the 0-minterms (default engine).
+/// `OSDV0(f)`: pair counts over the 0-minterms.
 pub fn osdv0(f: &TruthTable) -> Osdv {
-    osdv_with(f, MintermFilter::Zeros, OsdvEngine::Auto)
+    osdv_from_profile(f, &SensitivityProfile::compute(f), MintermFilter::Zeros)
 }
 
-/// `OSDV1(f)`: pair counts over the 1-minterms (default engine).
+/// `OSDV1(f)`: pair counts over the 1-minterms.
 pub fn osdv1(f: &TruthTable) -> Osdv {
-    osdv_with(f, MintermFilter::Ones, OsdvEngine::Auto)
+    osdv_from_profile(f, &SensitivityProfile::compute(f), MintermFilter::Ones)
 }
 
 fn count_pairs_naive(group: &[u64], row: &mut [u64], members: &mut Vec<u64>) {
@@ -550,11 +488,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The Auto crossover is a recorded, tested constant: the spectral
-    /// tail's threshold sits at half the classic `n·2^n` cost model.
+    /// The crossovers are recorded, tested constants: the kernel's
+    /// weight-binned tail switches on at half the classic `n·2^n` cost
+    /// model.
     #[test]
     fn crossover_constants_are_pinned() {
-        assert_eq!(AUTO_SPECTRAL_DIVISOR, 2);
         for (n, classic) in [
             (1usize, 2u64),
             (4, 64),
@@ -563,7 +501,7 @@ mod tests {
             (16, 1 << 20),
         ] {
             assert_eq!(classic_crossover(n), classic, "classic, n = {n}");
-            assert_eq!(auto_crossover(n), classic / 2, "spectral, n = {n}");
+            assert_eq!(krawtchouk_crossover(n), classic / 2, "krawtchouk, n = {n}");
         }
     }
 
@@ -632,6 +570,49 @@ mod tests {
         }
     }
 
+    /// All three pair counters — pairwise, classic autocorrelation and
+    /// the weight-binned tail — fill the same OSDV under every minterm
+    /// filter, whatever each level's population, and the reference path,
+    /// which picks one counter per group, matches them.
+    #[test]
+    fn engines_agree() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut tail = SpectralTail::default();
+        let (mut group, mut members, mut wht) = (Vec::new(), Vec::new(), Vec::new());
+        for n in 1..=8usize {
+            for _ in 0..4 {
+                let f = TruthTable::random(n, &mut rng).unwrap();
+                let prof = SensitivityProfile::compute(&f);
+                for filter in [
+                    MintermFilter::All,
+                    MintermFilter::Zeros,
+                    MintermFilter::Ones,
+                ] {
+                    let mut pairwise = vec![0u64; (n + 1) * n];
+                    let mut classic = pairwise.clone();
+                    let mut weighted = pairwise.clone();
+                    for s in 0..=n {
+                        level_group_into(&f, &prof, s as u32, filter, &mut group);
+                        let row = s * n..(s + 1) * n;
+                        count_pairs_naive(&group, &mut pairwise[row.clone()], &mut members);
+                        count_pairs_wht(&group, n, &mut classic[row.clone()], &mut wht);
+                        count_pairs_spectral(&group, n, &mut tail, &mut weighted[row]);
+                    }
+                    let reference = osdv_from_profile(&f, &prof, filter).flatten();
+                    assert_eq!(
+                        pairwise, reference,
+                        "pairwise, n = {n}, {filter:?}, f = {f}"
+                    );
+                    assert_eq!(classic, reference, "classic, n = {n}, {filter:?}, f = {f}");
+                    assert_eq!(
+                        weighted, reference,
+                        "weighted, n = {n}, {filter:?}, f = {f}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn table1_majority_osdv1() {
         let f1 = TruthTable::majority(3);
@@ -661,25 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree() {
-        let mut rng = StdRng::seed_from_u64(53);
-        for n in 1..=8usize {
-            for _ in 0..4 {
-                let f = TruthTable::random(n, &mut rng).unwrap();
-                for filter in [
-                    MintermFilter::All,
-                    MintermFilter::Zeros,
-                    MintermFilter::Ones,
-                ] {
-                    let a = osdv_with(&f, filter, OsdvEngine::Pairwise);
-                    let b = osdv_with(&f, filter, OsdvEngine::Wht);
-                    assert_eq!(a, b, "n = {n}, filter = {filter:?}, f = {f}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_point_sections_match_separate_computation() {
         let mut rng = StdRng::seed_from_u64(0xF05E);
         let mut scratch = OsdvScratch::default();
@@ -691,15 +653,14 @@ mod tests {
                 osdv_point_sections_into(
                     &f,
                     &prof,
-                    OsdvEngine::Auto,
                     &mut scratch,
                     &mut r0,
                     &mut r1,
                     &mut h0,
                     &mut h1,
                 );
-                let d0 = osdv_from_profile(&f, &prof, MintermFilter::Zeros, OsdvEngine::Auto);
-                let d1 = osdv_from_profile(&f, &prof, MintermFilter::Ones, OsdvEngine::Auto);
+                let d0 = osdv_from_profile(&f, &prof, MintermFilter::Zeros);
+                let d1 = osdv_from_profile(&f, &prof, MintermFilter::Ones);
                 let (e0, e1) = prof.histograms_by_value(&f);
                 assert_eq!(r0, d0.flatten(), "rows0, n = {n}, f = {f}");
                 assert_eq!(r1, d1.flatten(), "rows1, n = {n}, f = {f}");

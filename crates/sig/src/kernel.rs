@@ -30,7 +30,7 @@
 //! lexicographic minimum — and `¬f` is never materialized at all.
 
 use crate::cofactor::ocv_sorted_into;
-use crate::distance::{osdv_point_sections_into, OsdvEngine, OsdvScratch};
+use crate::distance::{osdv_point_sections_into, OsdvScratch};
 use crate::influence::oiv_sorted_into;
 use crate::msv::{Msv, SignatureSet, STAGE_ORDER};
 use crate::sensitivity::SensitivityProfile;
@@ -103,17 +103,9 @@ enum Build {
 /// ```
 #[derive(Debug, Default)]
 pub struct SigKernel {
-    /// Words (and arity) of the function the cached ingredients belong
-    /// to; emptied fingerprint means nothing is cached.
-    prof_words: Vec<u64>,
-    prof_vars: usize,
-    prof_valid: bool,
     profile: SensitivityProfile,
-    profile_computed: bool,
-    hists_valid: bool,
     h0: Vec<u64>,
     h1: Vec<u64>,
-    rows_valid: bool,
     rows0: Vec<u64>,
     rows1: Vec<u64>,
     ind: Vec<u64>,
@@ -135,12 +127,7 @@ impl SigKernel {
     /// any heap allocation).
     // analysis: no_alloc
     pub fn msv_to<S: MsvSink + ?Sized>(&mut self, f: &TruthTable, set: SignatureSet, sink: &mut S) {
-        self.refresh_cache(f);
-        // When OSDV is selected, run the fused sweep up front so the
-        // earlier OSV stage shares its indicators (see `ensure_rows`).
-        if set.contains(SignatureSet::OSDV) {
-            self.ensure_rows(f);
-        }
+        self.point_ingredients(f, set);
         sink.word(f.num_vars() as u64);
         let ones = f.count_ones();
         let zeros = f.num_bits() - ones;
@@ -205,33 +192,6 @@ impl SigKernel {
         Msv::from_words_vec(out)
     }
 
-    /// Writes the polarity-fixed (raw) MSV into `out`: the serialization
-    /// of `f` itself (`negated = false`) or of `¬f` derived from `f`'s
-    /// ingredients (`negated = true`), without output-phase
-    /// canonicalization. Bit-identical to
-    /// [`raw_msv`](crate::raw_msv)`(f)` / `raw_msv(&!f)`.
-    pub fn raw_msv_into(
-        &mut self,
-        f: &TruthTable,
-        set: SignatureSet,
-        negated: bool,
-        out: &mut Vec<u64>,
-    ) {
-        self.refresh_cache(f);
-        if set.contains(SignatureSet::OSDV) {
-            self.ensure_rows(f);
-        }
-        out.clear();
-        out.push(f.num_vars() as u64);
-        let build = if negated { Build::Negate } else { Build::Keep };
-        for stage in STAGE_ORDER {
-            if set.contains(stage) {
-                self.build_stage(f, stage, build);
-                out.extend_from_slice(&self.sec_a);
-            }
-        }
-    }
-
     /// Writes one stage's tagged section(s) into `out` for the chosen
     /// polarity — the staged (hierarchical) classifier's per-stage key,
     /// with `¬f` derived instead of materialized.
@@ -242,7 +202,7 @@ impl SigKernel {
         negated: bool,
         out: &mut Vec<u64>,
     ) {
-        self.refresh_cache(f);
+        self.point_ingredients(f, stage);
         self.build_stage(f, stage, if negated { Build::Negate } else { Build::Keep });
         out.clear();
         out.extend_from_slice(&self.sec_a);
@@ -253,7 +213,7 @@ impl SigKernel {
     /// balanced function's unresolved-polarity refinement step needs,
     /// at roughly half the cost of two independent computations.
     pub fn stage_sections_dual(&mut self, f: &TruthTable, stage: SignatureSet) -> (&[u64], &[u64]) {
-        self.refresh_cache(f);
+        self.point_ingredients(f, stage);
         if stage_is_polarity_invariant(stage) {
             self.build_stage(f, stage, Build::Keep);
             self.sec_b.clear();
@@ -264,65 +224,34 @@ impl SigKernel {
         (&self.sec_a, &self.sec_b)
     }
 
-    /// Invalidates the per-function ingredient cache when `f` differs
-    /// from the previously profiled function (cheap word compare), so
-    /// repeated stage calls on one function share one profile.
-    fn refresh_cache(&mut self, f: &TruthTable) {
-        if self.prof_valid && self.prof_vars == f.num_vars() && self.prof_words == f.words() {
-            return;
-        }
-        self.prof_words.clear();
-        self.prof_words.extend_from_slice(f.words());
-        self.prof_vars = f.num_vars();
-        self.prof_valid = true;
-        // The profile itself is computed lazily: only the OSV/OSDV
-        // stages pay for it.
-        self.profile_computed = false;
-        self.hists_valid = false;
-        self.rows_valid = false;
-    }
-
-    fn ensure_profile(&mut self, f: &TruthTable) {
-        if !self.profile_computed {
+    /// Computes the point-characteristic ingredients the stages of
+    /// `set` read. With `OSDV`, the fused sweep fills the distance rows
+    /// *and* the `OSV` histograms from one indicator per sensitivity
+    /// level; with `OSV` alone, only the histograms. Every entry point
+    /// calls this first, so nothing carries over from the previous
+    /// function.
+    fn point_ingredients(&mut self, f: &TruthTable, set: SignatureSet) {
+        if set.contains(SignatureSet::OSDV) {
             self.profile.compute_into(f);
-            self.profile_computed = true;
+            osdv_point_sections_into(
+                f,
+                &self.profile,
+                &mut self.osdv,
+                &mut self.rows0,
+                &mut self.rows1,
+                &mut self.h0,
+                &mut self.h1,
+            );
+        } else if set.contains(SignatureSet::OSV) {
+            self.profile.compute_into(f);
+            self.profile
+                .histograms_by_value_into(f, &mut self.h0, &mut self.h1, &mut self.ind);
         }
-    }
-
-    fn ensure_hists(&mut self, f: &TruthTable) {
-        if self.hists_valid {
-            return;
-        }
-        self.ensure_profile(f);
-        self.profile
-            .histograms_by_value_into(f, &mut self.h0, &mut self.h1, &mut self.ind);
-        self.hists_valid = true;
-    }
-
-    /// The fused point-characteristic sweep: one indicator per
-    /// sensitivity level feeds the OSDV rows *and* the OSV histograms,
-    /// so a set containing both families pays for one sweep total.
-    fn ensure_rows(&mut self, f: &TruthTable) {
-        if self.rows_valid {
-            return;
-        }
-        self.ensure_profile(f);
-        osdv_point_sections_into(
-            f,
-            &self.profile,
-            OsdvEngine::Auto,
-            &mut self.osdv,
-            &mut self.rows0,
-            &mut self.rows1,
-            &mut self.h0,
-            &mut self.h1,
-        );
-        self.rows_valid = true;
-        self.hists_valid = true;
     }
 
     /// Fills `sec_a` (and `sec_b` for [`Build::Dual`]) with the tagged
-    /// section(s) of one stage. Tags and layout match
+    /// section(s) of one stage, reading the point ingredients
+    /// [`Self::point_ingredients`] left. Tags and layout match
     /// [`crate::push_stage_sections`] exactly.
     fn build_stage(&mut self, f: &TruthTable, stage: SignatureSet, build: Build) {
         self.sec_a.clear();
@@ -341,7 +270,6 @@ impl SigKernel {
                 }
             }
             s if s == SignatureSet::OSV => {
-                self.ensure_hists(f);
                 match build {
                     Build::Keep => {
                         push_section(&mut self.sec_a, 4, &self.h0);
@@ -360,25 +288,22 @@ impl SigKernel {
                     }
                 }
             }
-            s if s == SignatureSet::OSDV => {
-                self.ensure_rows(f);
-                match build {
-                    Build::Keep => {
-                        push_section(&mut self.sec_a, 6, &self.rows0);
-                        push_section(&mut self.sec_a, 7, &self.rows1);
-                    }
-                    Build::Negate => {
-                        push_section(&mut self.sec_a, 6, &self.rows1);
-                        push_section(&mut self.sec_a, 7, &self.rows0);
-                    }
-                    Build::Dual => {
-                        push_section(&mut self.sec_a, 6, &self.rows0);
-                        push_section(&mut self.sec_a, 7, &self.rows1);
-                        push_section(&mut self.sec_b, 6, &self.rows1);
-                        push_section(&mut self.sec_b, 7, &self.rows0);
-                    }
+            s if s == SignatureSet::OSDV => match build {
+                Build::Keep => {
+                    push_section(&mut self.sec_a, 6, &self.rows0);
+                    push_section(&mut self.sec_a, 7, &self.rows1);
                 }
-            }
+                Build::Negate => {
+                    push_section(&mut self.sec_a, 6, &self.rows1);
+                    push_section(&mut self.sec_a, 7, &self.rows0);
+                }
+                Build::Dual => {
+                    push_section(&mut self.sec_a, 6, &self.rows0);
+                    push_section(&mut self.sec_a, 7, &self.rows1);
+                    push_section(&mut self.sec_b, 6, &self.rows1);
+                    push_section(&mut self.sec_b, 7, &self.rows0);
+                }
+            },
             s if s == SignatureSet::WALSH => {
                 walsh_spectrum_sorted_abs_into(f, &mut self.spec);
                 self.sec_a.push(8);
@@ -432,7 +357,7 @@ fn push_complemented(out: &mut Vec<u64>, tag: u64, sorted: &[u64], face: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msv::{msv_reference, raw_msv};
+    use crate::msv::msv_reference;
     use facepoint_truth::NpnTransform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -451,27 +376,6 @@ mod tests {
                     buf.as_slice(),
                     msv_reference(&f, set).as_words(),
                     "n = {n}, f = {f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn derived_negation_is_bit_identical_to_raw() {
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let mut kernel = SigKernel::new();
-        let mut buf = Vec::new();
-        let set = SignatureSet::all_extended();
-        for n in 0..=7usize {
-            for _ in 0..8 {
-                let f = TruthTable::random(n, &mut rng).unwrap();
-                kernel.raw_msv_into(&f, set, false, &mut buf);
-                assert_eq!(buf.as_slice(), raw_msv(&f, set).as_words(), "keep, f = {f}");
-                kernel.raw_msv_into(&f, set, true, &mut buf);
-                assert_eq!(
-                    buf.as_slice(),
-                    raw_msv(&!&f, set).as_words(),
-                    "negate, f = {f}"
                 );
             }
         }

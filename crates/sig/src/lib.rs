@@ -20,8 +20,8 @@
 //! (Theorems 1–4, executable in [`theorems`]), so the concatenated,
 //! polarity-canonicalized [`msv`] can bucket functions into candidate NPN
 //! classes with plain hashing — no transformation enumeration. The
-//! [`spectral`] module adds the Walsh spectrum for comparison and powers
-//! the fast `OSDV` engine.
+//! [`spectral`] module adds the Walsh spectrum for comparison and the
+//! transform behind the `OSDV` pair counters.
 //!
 //! # Quick start
 //!
@@ -53,10 +53,7 @@ pub mod symmetry;
 pub mod theorems;
 
 pub use cofactor::{ocv, ocv1, ocv2};
-pub use distance::{
-    auto_crossover, classic_crossover, osdv, osdv0, osdv1, osdv_from_profile, osdv_rows_into,
-    osdv_with, MintermFilter, Osdv, OsdvEngine, OsdvScratch, AUTO_SPECTRAL_DIVISOR,
-};
+pub use distance::{osdv, osdv0, osdv1, Osdv};
 pub use influence::{influence, influences, oiv, total_influence};
 pub use kernel::{MsvSink, SigKernel};
 pub use msv::{msv, msv_reference, push_stage_sections, raw_msv, Msv, SignatureSet, STAGE_ORDER};

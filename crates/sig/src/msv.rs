@@ -16,7 +16,7 @@
 //!   keep the lexicographically smaller one. This subsumes the paper's
 //!   Theorem 3/4 rule of placing the smaller of `OSV0`/`OSV1` first and
 //!   also fixes the cofactor sections, which the swap rule alone leaves
-//!   ambiguous (see DESIGN.md §5).
+//!   ambiguous.
 //!
 //! # Output-negation derivation rules
 //!
@@ -37,7 +37,7 @@
 //! lockstep, stage by stage, at the first differing word.
 
 use crate::cofactor::{ocv1, ocv2};
-use crate::distance::{osdv_from_profile, MintermFilter, OsdvEngine};
+use crate::distance::{osdv_from_profile, MintermFilter};
 use crate::influence::oiv;
 use crate::sensitivity::SensitivityProfile;
 use facepoint_truth::TruthTable;
@@ -333,8 +333,8 @@ pub fn push_stage_sections(f: &TruthTable, stage: SignatureSet, out: &mut Vec<u6
         }
         s if s == SignatureSet::OSDV => {
             let profile = SensitivityProfile::compute(f);
-            let d0 = osdv_from_profile(f, &profile, MintermFilter::Zeros, OsdvEngine::Auto);
-            let d1 = osdv_from_profile(f, &profile, MintermFilter::Ones, OsdvEngine::Auto);
+            let d0 = osdv_from_profile(f, &profile, MintermFilter::Zeros);
+            let d1 = osdv_from_profile(f, &profile, MintermFilter::Ones);
             push_section(out, 6, &d0.flatten());
             push_section(out, 7, &d1.flatten());
         }

@@ -1,14 +1,15 @@
 //! Walsh–Hadamard transform and XOR autocorrelation.
 //!
-//! The fast Walsh–Hadamard transform (WHT) underlies two things here:
+//! The fast Walsh–Hadamard transform (WHT) underlies three things:
 //!
 //! * the *Walsh spectrum* signature, an alternative face-style signature
 //!   the paper cites (\[7\] in its bibliography) and which we expose for
 //!   completeness and ablation studies;
-//! * the `O(n·2^n)` **XOR autocorrelation** used to compute the
-//!   sensitivity-distance vectors ([`crate::Osdv`]) without enumerating
-//!   all minterm pairs: for an indicator vector `a`,
-//!   `r[d] = Σ_X a[X]·a[X⊕d] = WHT(WHT(a)²)[d] / 2^n`.
+//! * the kernel's weight-binned `OSDV` pair counter (see the `distance`
+//!   module source), which needs one forward transform per group;
+//! * the crate-private `O(n·2^n)` **XOR autocorrelation**, the spectral
+//!   tail of the reference `OSDV` path ([`crate::osdv`]): for an
+//!   indicator vector `a`, `r[d] = Σ_X a[X]·a[X⊕d] = WHT(WHT(a)²)[d] / 2^n`.
 
 use facepoint_truth::TruthTable;
 
@@ -90,26 +91,14 @@ pub fn walsh_spectrum_sorted_abs_into(f: &TruthTable, out: &mut Vec<i64>) {
     out.sort_unstable();
 }
 
-/// XOR autocorrelation of a 0/1 indicator vector given as bit-packed words:
-/// returns `r` with `r[d] = |{X : a[X] = a[X⊕d] = 1}|` (ordered pairs,
-/// `r[0]` equals the popcount).
+/// Writes the XOR autocorrelation of a 0/1 indicator vector given as
+/// bit-packed words into `out`: `out[d] = |{X : a[X] = a[X⊕d] = 1}|`
+/// (ordered pairs, `out[0]` equals the popcount).
 ///
 /// # Panics
 ///
 /// Panics if `2^num_vars` exceeds `64 * words.len()`.
-pub fn xor_autocorrelation(words: &[u64], num_vars: usize) -> Vec<i64> {
-    let mut data = Vec::new();
-    xor_autocorrelation_into(words, num_vars, &mut data);
-    data
-}
-
-/// Writes the XOR autocorrelation into `out`, reusing its allocation —
-/// the allocation-free form of [`xor_autocorrelation`].
-///
-/// # Panics
-///
-/// Panics if `2^num_vars` exceeds `64 * words.len()`.
-pub fn xor_autocorrelation_into(words: &[u64], num_vars: usize, out: &mut Vec<i64>) {
+pub(crate) fn xor_autocorrelation_into(words: &[u64], num_vars: usize, out: &mut Vec<i64>) {
     let len = 1usize << num_vars;
     assert!(len <= words.len() * 64, "indicator shorter than 2^n bits");
     out.clear();
@@ -183,7 +172,8 @@ mod tests {
     fn autocorrelation_counts_pairs() {
         // Indicator {000, 011, 101} of a 3-cube.
         let words = [0b0010_1001u64];
-        let r = xor_autocorrelation(&words, 3);
+        let mut r = Vec::new();
+        xor_autocorrelation_into(&words, 3, &mut r);
         assert_eq!(r[0], 3, "r[0] = popcount");
         // d = 011: pairs (000,011) both ways → 2.
         assert_eq!(r[0b011], 2);

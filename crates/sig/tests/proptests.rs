@@ -3,8 +3,8 @@
 //! consistency between the fast and reference computation paths.
 
 use facepoint_sig::{
-    influence, msv, msv_reference, ocv, ocv1, ocv2, oiv, osdv_with, osv, osv0, osv1, osv_histogram,
-    raw_msv, MintermFilter, OsdvEngine, SensitivityProfile, SigKernel, SignatureSet,
+    influence, msv, msv_reference, ocv, ocv1, ocv2, oiv, osdv, osdv0, osdv1, osv, osv0, osv1,
+    osv_histogram, raw_msv, SensitivityProfile, SigKernel, SignatureSet,
 };
 use facepoint_truth::{NpnTransform, Permutation, TruthTable};
 use proptest::prelude::*;
@@ -67,6 +67,59 @@ fn all_signature_subsets() -> Vec<SignatureSet> {
         .collect()
 }
 
+/// Definitions 9–10 by brute force, from `f.bit` alone: the row-major
+/// `(n+1) × n` matrix whose entry `s·n + (j−1)` counts the unordered
+/// minterm pairs `X < Y` of equal local sensitivity `s` at Hamming
+/// distance `j`, restricted to minterms with `f(X) = value` when
+/// `value` is given.
+fn osdv_by_definition(f: &TruthTable, value: Option<bool>) -> Vec<u64> {
+    let n = f.num_vars();
+    let sen: Vec<usize> = (0..f.num_bits())
+        .map(|x| (0..n).filter(|&i| f.bit(x) != f.bit(x ^ (1 << i))).count())
+        .collect();
+    let counted = |x: u64| value.is_none_or(|v| f.bit(x) == v);
+    let mut rows = vec![0u64; (n + 1) * n];
+    for x in 0..f.num_bits() {
+        for y in x + 1..f.num_bits() {
+            if sen[x as usize] == sen[y as usize] && counted(x) && counted(y) {
+                let j = (x ^ y).count_ones() as usize;
+                rows[sen[x as usize] * n + j - 1] += 1;
+            }
+        }
+    }
+    rows
+}
+
+/// The kernel's `OSDV` stage sections: tag 6 with the `OSDV0` rows, then
+/// tag 7 with the `OSDV1` rows, each prefixed by its length.
+fn osdv_sections(zeros: &[u64], ones: &[u64]) -> Vec<u64> {
+    let mut out = vec![6, zeros.len() as u64];
+    out.extend_from_slice(zeros);
+    out.extend([7, ones.len() as u64]);
+    out.extend_from_slice(ones);
+    out
+}
+
+/// Checks both OSDV paths against [`osdv_by_definition`]: `osdv`,
+/// `osdv0` and `osdv1` (the reference path), and the kernel's tagged
+/// `OSDV` stage sections for `f` and for the derived `¬f` (the fused
+/// sweep).
+fn check_osdv_against_definition(f: &TruthTable) {
+    let all = osdv_by_definition(f, None);
+    let zeros = osdv_by_definition(f, Some(false));
+    let ones = osdv_by_definition(f, Some(true));
+    assert_eq!(osdv(f).flatten(), all, "OSDV, f = {f}");
+    assert_eq!(osdv0(f).flatten(), zeros, "OSDV0, f = {f}");
+    assert_eq!(osdv1(f).flatten(), ones, "OSDV1, f = {f}");
+    let mut kernel = SigKernel::new();
+    let mut buf = Vec::new();
+    kernel.stage_sections_into(f, SignatureSet::OSDV, false, &mut buf);
+    assert_eq!(buf, osdv_sections(&zeros, &ones), "kernel, f = {f}");
+    // The 0-minterms of ¬f are the 1-minterms of f.
+    kernel.stage_sections_into(f, SignatureSet::OSDV, true, &mut buf);
+    assert_eq!(buf, osdv_sections(&ones, &zeros), "kernel ¬f, f = {f}");
+}
+
 fn arb_pair(max_n: usize) -> impl Strategy<Value = (TruthTable, NpnTransform)> {
     (1..=max_n).prop_flat_map(|n| {
         let table = proptest::collection::vec(any::<u64>(), facepoint_truth::words::word_count(n))
@@ -118,13 +171,9 @@ proptest! {
     #[test]
     fn osdv_family_obeys_theorem4((f, t) in arb_pair(6)) {
         let g = t.apply(&f);
-        let all_f = osdv_with(&f, MintermFilter::All, OsdvEngine::Auto);
-        let all_g = osdv_with(&g, MintermFilter::All, OsdvEngine::Auto);
-        prop_assert_eq!(all_f, all_g);
-        let f0 = osdv_with(&f, MintermFilter::Zeros, OsdvEngine::Auto);
-        let f1 = osdv_with(&f, MintermFilter::Ones, OsdvEngine::Auto);
-        let g0 = osdv_with(&g, MintermFilter::Zeros, OsdvEngine::Auto);
-        let g1 = osdv_with(&g, MintermFilter::Ones, OsdvEngine::Auto);
+        prop_assert_eq!(osdv(&f), osdv(&g));
+        let (f0, f1) = (osdv0(&f), osdv1(&f));
+        let (g0, g1) = (osdv0(&g), osdv1(&g));
         if t.output_neg() {
             prop_assert_eq!(f0, g1);
             prop_assert_eq!(f1, g0);
@@ -172,14 +221,23 @@ proptest! {
         );
     }
 
+    // Random tables populate sensitivity groups of every size, so both
+    // paths run their pairwise counting and their spectral tail.
     #[test]
-    fn osdv_engines_agree(f in arb_table(7)) {
-        for filter in [MintermFilter::All, MintermFilter::Zeros, MintermFilter::Ones] {
-            prop_assert_eq!(
-                osdv_with(&f, filter, OsdvEngine::Pairwise),
-                osdv_with(&f, filter, OsdvEngine::Wht)
-            );
-        }
+    fn osdv_matches_definition(f in arb_table(8)) {
+        check_osdv_against_definition(&f);
+    }
+
+    // The two OSDV engines, differentially past the brute force's reach:
+    // `osdv0`/`osdv1` (classic autocorrelation tail) and the kernel's
+    // fused sweep (weight-binned tail, at half the crossover), so a
+    // level can go spectral on one side and pairwise on the other.
+    #[test]
+    fn osdv_engines_agree(f in arb_table(10)) {
+        let mut buf = Vec::new();
+        SigKernel::new().stage_sections_into(&f, SignatureSet::OSDV, false, &mut buf);
+        let expect = osdv_sections(&osdv0(&f).flatten(), &osdv1(&f).flatten());
+        prop_assert_eq!(buf, expect, "f = {}", &f);
     }
 
     #[test]
@@ -210,7 +268,7 @@ proptest! {
     #[test]
     fn osdv_row_sums_match_histogram(f in arb_table(6)) {
         let hist = osv_histogram(&f);
-        let v = osdv_with(&f, MintermFilter::All, OsdvEngine::Auto);
+        let v = osdv(&f);
         for (s, &count) in hist.iter().enumerate() {
             let pairs: u64 = if f.num_vars() == 0 { 0 } else {
                 v.sigma(s as u32).iter().sum()
@@ -243,19 +301,6 @@ proptest! {
         let mut kernel = SigKernel::new();
         let set = SignatureSet::all_extended();
         prop_assert_eq!(kernel.msv(&f, set), msv_reference(&f, set), "f = {}", &f);
-    }
-
-    // The polarity-derivation path must be bit-identical to actually
-    // negating the table and re-serializing it.
-    #[test]
-    fn kernel_derived_negation_equals_raw_msv(f in arb_table(7)) {
-        let mut kernel = SigKernel::new();
-        let mut buf = Vec::new();
-        let set = SignatureSet::all_extended();
-        kernel.raw_msv_into(&f, set, false, &mut buf);
-        prop_assert_eq!(buf.as_slice(), raw_msv(&f, set).as_words(), "keep, f = {}", &f);
-        kernel.raw_msv_into(&f, set, true, &mut buf);
-        prop_assert_eq!(buf.as_slice(), raw_msv(&!&f, set).as_words(), "negate, f = {}", &f);
     }
 
     // Adversarially balanced tables: the satisfy count never resolves
@@ -315,13 +360,12 @@ proptest! {
         prop_assert_eq!(fast, naive, "n = {}", n);
     }
 
-    // ---- Auto engine on skewed sensitivity groups ----
+    // ---- Automatic tail choice on skewed sensitivity groups ----
 
     // Threshold and Hamming-ball functions (plus sparse noise) make
     // one polarity group of a sensitivity level huge and the other
-    // tiny, so `OsdvEngine::Auto` picks *different* tails for the two
-    // groups of the same level. Whatever it picks must agree with both
-    // forced engines under every minterm filter.
+    // tiny, so each path picks *different* tails for the two groups of
+    // the same level. Whatever it picks must match the definition.
     #[test]
     fn auto_engine_agrees_on_skewed_groups(
         (n, ball, cut, noise) in (1usize..=8, any::<bool>(), any::<u64>(), any::<u64>())
@@ -342,18 +386,6 @@ proptest! {
             let m = (noise.rotate_right(16 * k as u32 + 7)) % bits;
             f.set_bit(m, !f.bit(m));
         }
-        for filter in [MintermFilter::All, MintermFilter::Zeros, MintermFilter::Ones] {
-            let auto = osdv_with(&f, filter, OsdvEngine::Auto);
-            prop_assert_eq!(
-                &auto,
-                &osdv_with(&f, filter, OsdvEngine::Pairwise),
-                "pairwise, filter = {:?}, f = {}", filter, &f
-            );
-            prop_assert_eq!(
-                &auto,
-                &osdv_with(&f, filter, OsdvEngine::Wht),
-                "wht, filter = {:?}, f = {}", filter, &f
-            );
-        }
+        check_osdv_against_definition(&f);
     }
 }

@@ -10,8 +10,8 @@ fn f1() -> TruthTable {
     TruthTable::majority(3)
 }
 
-/// `f3` of Fig. 1c: the projection onto one variable (see DESIGN.md —
-/// recovered from its published signature values).
+/// `f3` of Fig. 1c: the projection onto one variable, recovered from its
+/// published signature values.
 fn f3() -> TruthTable {
     TruthTable::projection(3, 2).unwrap()
 }
