@@ -5,7 +5,7 @@
 //! cargo run --release -p facepoint-bench --bin check_bench -- \
 //!     --dir CANDIDATE_DIR [--baseline BASELINE_DIR] \
 //!     [--max-regress 0.25] [--min-journal-ratio 0.6] \
-//!     [--min-sig-speedup 2.3] [--min-certified-ratio 0.25] \
+//!     [--min-sig-speedup 2.3] [--min-certified-ratio 1.0] \
 //!     [--analysis-report PATH [--analysis-only]]
 //! ```
 //!
@@ -19,12 +19,14 @@
 //!   (journaled / in-memory ingest throughput), and the n = 8 row must
 //!   meet `--min-journal-ratio` (default 0.6 — the repo's acceptance
 //!   floor);
-//! * certified tax: the n = 8 engine row must record
+//! * certified tier: every engine row must record
 //!   `certified_fns_per_sec`, `certified_classes` and
 //!   `certified_ratio` (certified / digest ingest throughput over the
-//!   same workload), and the ratio must meet `--min-certified-ratio`
-//!   (default 0.25 — the exact-resolution acceptance floor; pass `0`
-//!   to validate schema only);
+//!   same workload), and every ratio must meet `--min-certified-ratio`
+//!   (default 1.0 — proving the classes must cost no throughput, since
+//!   a within-budget certified miss is one canonical walk where a
+//!   digest miss is one signature key; pass `0` to validate schema
+//!   only);
 //! * regression: with `--baseline`, rows sharing an `n` are compared
 //!   and the candidate must reach `1 - max_regress` of the committed
 //!   throughput (default: fail on >25% regression);
@@ -94,6 +96,9 @@ const SCHEMAS: [Schema; 2] = [
             "classes",
             "journaled_fns_per_sec",
             "journal_ratio",
+            "certified_fns_per_sec",
+            "certified_classes",
+            "certified_ratio",
         ],
         nonneg_row_fields: &[
             "chunk_p50_nanos",
@@ -307,7 +312,7 @@ fn main() {
     let max_regress: f64 = arg_num(&args, "--max-regress", 0.25);
     let min_journal_ratio: f64 = arg_num(&args, "--min-journal-ratio", 0.6);
     let min_sig_speedup: f64 = arg_num(&args, "--min-sig-speedup", 2.3);
-    let min_certified_ratio: f64 = arg_num(&args, "--min-certified-ratio", 0.25);
+    let min_certified_ratio: f64 = arg_num(&args, "--min-certified-ratio", 1.0);
     let analysis_report = arg_value(&args, "--analysis-report");
     let analysis_only = args.iter().any(|a| a == "--analysis-only");
     let dir = Path::new(&dir);
@@ -418,38 +423,18 @@ fn main() {
                         ));
                     }
                 }
-                // The certified column only exists on the n = 8 row
-                // (the acceptance arity); require it there and gate
-                // the ratio.
-                if n == 8 {
-                    for field in ["certified_fns_per_sec", "certified_classes"] {
-                        match row.get(field).and_then(Json::as_f64) {
-                            Some(v) if v > 0.0 => {}
-                            Some(v) => check.fail(format!(
-                                "BENCH_engine.json results[{i}]: \"{field}\" = {v} \
-                                 is not positive"
-                            )),
-                            None => check.fail(format!(
-                                "BENCH_engine.json results[{i}]: n=8 row missing \
-                                 number \"{field}\""
-                            )),
-                        }
-                    }
-                    match row.get("certified_ratio").and_then(Json::as_f64) {
-                        Some(ratio) if ratio >= min_certified_ratio => println!(
-                            "BENCH_engine.json n=8: certified_ratio {ratio:.3} \
-                             (floor {min_certified_ratio})"
-                        ),
-                        Some(ratio) => check.fail(format!(
-                            "BENCH_engine.json n=8: certified_ratio {ratio:.3} \
-                             below the {min_certified_ratio} floor"
-                        )),
-                        None => check.fail(
-                            "BENCH_engine.json: n=8 row missing number \
-                             \"certified_ratio\""
-                                .to_string(),
-                        ),
-                    }
+                // Every row carries the certified tier over the same
+                // workload (a schema field); floor its ratio on each.
+                match row.get("certified_ratio").and_then(Json::as_f64) {
+                    Some(ratio) if ratio < min_certified_ratio => check.fail(format!(
+                        "BENCH_engine.json n={n}: certified_ratio {ratio:.3} \
+                         below the {min_certified_ratio} floor"
+                    )),
+                    Some(ratio) => println!(
+                        "BENCH_engine.json n={n}: certified_ratio {ratio:.3} \
+                         (floor {min_certified_ratio})"
+                    ),
+                    None => {} // already reported as a schema failure
                 }
                 let Some(ratio) = row.get("journal_ratio").and_then(Json::as_f64) else {
                     continue; // already reported as a schema failure

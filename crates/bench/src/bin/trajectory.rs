@@ -3,7 +3,8 @@
 //! kernel vs. two-pass reference, on balanced tables for n = 6..11) and
 //! `BENCH_engine.json` (end-to-end engine throughput, in-memory
 //! **and** with the durable journal on, so the durability tax is a
-//! recorded number, not a guess), both at the repo root by default.
+//! recorded number, not a guess, plus the certified tier over the same
+//! stream), both at the repo root by default.
 //!
 //! ```text
 //! cargo run --release -p facepoint-bench --bin trajectory [-- --out DIR] [--quick]
@@ -163,30 +164,20 @@ fn main() {
              chunk latency p50 {p50} / p99 {p99} ns",
             ratio * 100.0
         );
-        // The certified-tier tax, measured once at the acceptance
-        // arity: same workload, same config, resolution certified —
-        // every signature bucket resolved to a proved class. Digest
-        // rows run every n; one certified column at n = 8 is the
-        // ratio check_bench floors.
-        let mut certified_cells = String::new();
-        if n == 8 {
-            let (cert_fps, cert_classes, _) = engine_pass(&fns, set, None, Resolution::Certified);
-            assert!(
-                cert_classes >= classes,
-                "certified resolution merged digest buckets"
-            );
-            let cert_ratio = cert_fps / mem_fps;
-            println!(
-                "engine n=8 certified: {cert_fps:.0} fn/s ({:.0}% of digest), \
-                 {cert_classes} proved classes",
-                cert_ratio * 100.0
-            );
-            certified_cells = format!(
-                ", \"certified_fns_per_sec\": {cert_fps:.1}, \
-                 \"certified_classes\": {cert_classes}, \
-                 \"certified_ratio\": {cert_ratio:.3}"
-            );
-        }
+        // The certified tier over the same workload and config, at
+        // every arity: every class proved. check_bench floors the
+        // certified/digest ratio on each row.
+        let (cert_fps, cert_classes, _) = engine_pass(&fns, set, None, Resolution::Certified);
+        assert!(
+            cert_classes >= classes,
+            "certified resolution merged digest buckets"
+        );
+        let cert_ratio = cert_fps / mem_fps;
+        println!(
+            "engine n={n} certified: {cert_fps:.0} fn/s ({:.0}% of digest), \
+             {cert_classes} proved classes",
+            cert_ratio * 100.0
+        );
         if !eng_rows.is_empty() {
             eng_rows.push_str(",\n");
         }
@@ -196,15 +187,18 @@ fn main() {
              \"journaled_fns_per_sec\": {journal_fps:.1}, \
              \"journal_ratio\": {ratio:.3}, \
              \"chunk_p50_nanos\": {p50}, \"chunk_p90_nanos\": {p90}, \
-             \"chunk_p99_nanos\": {p99}, \"chunk_max_nanos\": {max}{certified_cells}}}"
+             \"chunk_p99_nanos\": {p99}, \"chunk_max_nanos\": {max}, \
+             \"certified_fns_per_sec\": {cert_fps:.1}, \
+             \"certified_classes\": {cert_classes}, \
+             \"certified_ratio\": {cert_ratio:.3}}}"
         ));
     }
     let eng_json = format!(
         "{{\n  \"bench\": \"engine\",\n  \"set\": \"{set}\",\n  \
          \"workload\": \"distinct random tables, default engine config; \
          journaled = durable store on, default sync policy (fsync at \
-         epoch barriers); certified_* on the n = 8 row = the same \
-         workload at resolution certified (every bucket proved)\",\n  \
+         epoch barriers); certified_* = the same workload at \
+         resolution certified (every class proved)\",\n  \
          \"unix_time\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         unix_time(),
         eng_rows

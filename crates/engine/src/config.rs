@@ -67,13 +67,15 @@ pub enum Resolution {
     /// full signature throughput. The default.
     #[default]
     Digest,
-    /// Every digest bucket is additionally resolved into **proved**
-    /// NPN classes: a bucket's first member is canonicalized eagerly
-    /// (the influence-aided canonical walk of
-    /// `facepoint_exact::certified_canonical`, one walk at every
-    /// arity), later members take the exact pairwise-matcher witness
-    /// path against the cached representative. The census then counts
-    /// exact NPN classes and every representative is a proved one.
+    /// Classes are **proved** NPN classes. Every cache miss is
+    /// labelled by the influence-aided canonical walk of
+    /// `facepoint_exact::certified_canonical_with_witness`; within the
+    /// walk's work budget the label is class-invariant and keys the
+    /// class on its own. Only functions past the budget are bucketed by
+    /// signature digest, and a bucket's later members take the exact
+    /// pairwise-matcher witness path against its cached
+    /// representatives. The census then counts exact NPN classes and
+    /// every representative is a proved one.
     Certified,
 }
 

@@ -48,23 +48,42 @@ pub fn certified_key(representative: &TruthTable) -> u128 {
 }
 
 /// The worker-side state of [`Resolution::Certified`]: the shared
-/// bucket resolver plus its latency instrument. `None` everywhere in
-/// digest mode.
+/// bucket resolver for classes past the walk's budget, the count of
+/// misses keyed by an invariant label, and the latency instrument.
+/// `None` everywhere in digest mode.
 struct CertifiedResolve {
     resolver: Arc<BucketResolver>,
+    walks: Arc<AtomicU64>,
     resolve_nanos: Arc<LatencyHistogram>,
 }
 
 impl CertifiedResolve {
-    /// Resolves one keyed miss to its certified class: digest bucket →
-    /// proved representative → store key.
-    fn resolve(&self, digest: u128, table: &TruthTable) -> (u128, TruthTable) {
+    /// Resolves one miss to its certified class and returns the store
+    /// key, the proved representative and whether the walk's label was
+    /// class-invariant. An invariant label is the class on its own: one
+    /// walk, no signature key, no matcher. Past the walk's budget the
+    /// signature digest names a bucket and the resolver matches `table`
+    /// against its cached representatives. The verdict is an orbit
+    /// invariant, so no class is split across the two paths.
+    fn resolve(
+        &self,
+        kernel: &mut SignatureKernel,
+        table: &TruthTable,
+    ) -> (u128, TruthTable, bool) {
         let started = Instant::now();
-        let resolved = self.resolver.resolve(digest, table);
+        let canon = certified_canonical_with_witness(table);
+        let representative = if canon.invariant {
+            canon.label
+        } else {
+            self.resolver
+                .resolve(kernel.key(table), table)
+                .representative
+        };
         self.resolve_nanos.record_duration(started.elapsed());
         (
-            certified_key(&resolved.representative),
-            resolved.representative,
+            certified_key(&representative),
+            representative,
+            canon.invariant,
         )
     }
 }
@@ -96,46 +115,35 @@ pub struct CanonHandle {
 
 impl CanonHandle {
     /// Answers exactly like [`Engine::canon`], without touching the
-    /// engine object: resolver-cached classes come back with their
-    /// store key and member count, everything else is canonicalized on
-    /// the calling thread.
+    /// engine object: one canonical walk on the calling thread, plus
+    /// the member count a certified store holds under its key.
     pub fn canon(&self, f: &TruthTable) -> CanonAnswer {
         answer_canon(&self.store, self.certified.as_deref(), self.set, f)
     }
 }
 
 /// The one `canon` code path, shared by [`Engine::canon`] and
-/// [`CanonHandle::canon`]: try the resolver's cached representative
-/// (certified engines only), fall back to canonicalizing `f` on the
-/// spot — the walk returns its witness, so no matcher pass follows.
-/// Read-only — it never creates a class, counts a member or touches the
-/// stream.
+/// [`CanonHandle::canon`]: one canonical walk, whose label and witness
+/// are the answer. Only a certified engine given a function past the
+/// walk's budget asks the resolver for its bucket's cached
+/// representative, and keeps the walk's label when the class is
+/// unknown. Read-only — it never creates a class, counts a member or
+/// touches the stream.
 fn answer_canon(
     store: &ShardedStore,
     certified: Option<&CertifiedResolve>,
     set: SignatureSet,
     f: &TruthTable,
 ) -> CanonAnswer {
-    if let Some(tier) = certified {
-        let digest = signature_key(f, set);
-        if let Some((representative, witness)) = tier.resolver.witness(digest, f) {
-            let key = certified_key(&representative);
-            let size = store.get(key).map_or(0, |(_, size)| size as u64);
-            return CanonAnswer {
-                entry: CensusEntry {
-                    key,
-                    size,
-                    representative,
-                },
-                witness,
-            };
-        }
-    }
     let CertifiedCanonical {
-        label: representative,
+        label,
         witness,
-        ..
+        invariant,
     } = certified_canonical_with_witness(f);
+    let (representative, witness) = certified
+        .filter(|_| !invariant)
+        .and_then(|tier| tier.resolver.witness(signature_key(f, set), f))
+        .unwrap_or((label, witness));
     let key = certified_key(&representative);
     let size = if certified.is_some() {
         store.get(key).map_or(0, |(_, size)| size as u64)
@@ -276,10 +284,13 @@ pub struct Engine {
     /// instrument of this engine (and, through `facepoint serve`, of
     /// the service wrapping it) lives here.
     telemetry: Arc<Registry>,
-    /// The certified bucket resolver. Constructed in every mode so the
-    /// telemetry schema (`engine_canon_*`) is stable across modes; only
-    /// [`Resolution::Certified`] routes classifications through it.
+    /// The certified bucket resolver and the count of misses keyed by
+    /// an invariant label. Constructed in every mode so the telemetry
+    /// schema (`engine_canon_*`) is stable across modes; only
+    /// [`Resolution::Certified`] routes classifications through them,
+    /// and only functions past the walk's budget reach the resolver.
     resolver: Arc<BucketResolver>,
+    canon_walks: Arc<AtomicU64>,
     /// Worker-side certified-resolution context; `None` in digest mode.
     certified: Option<Arc<CertifiedResolve>>,
 }
@@ -566,8 +577,9 @@ impl Engine {
             // the dedup fast paths — which insert raw member tables —
             // can never steal the slot with a lower seq (duplicates
             // classified out of chunk order would otherwise overwrite
-            // it, break `certified_key(rep) == key`, and split the
-            // class after a reopen primes the resolver from the store).
+            // it, break `certified_key(rep) == key`, and split a class
+            // past the walk's budget after a reopen primes the resolver
+            // from the store).
             store.pin_representatives();
         }
         // Wall-clock cost of opening the store and replaying its
@@ -601,26 +613,32 @@ impl Engine {
             store.for_each(|key, entry| cache.prime(&entry.representative, key));
         }
         let resolver = Arc::new(BucketResolver::new());
+        let canon_walks = Arc::new(AtomicU64::new(0));
         let resolve_nanos = telemetry.histogram("engine_canon_resolve_nanos");
         let certified = match cfg.resolution {
             Resolution::Digest => None,
             Resolution::Certified => Some(Arc::new(CertifiedResolve {
                 resolver: Arc::clone(&resolver),
+                walks: Arc::clone(&canon_walks),
                 resolve_nanos: Arc::clone(&resolve_nanos),
             })),
         };
         if certified.is_some() && recovery.is_some() {
-            // Rebuild the bucket tables from the recovered census: a
-            // stored representative's signature digest equals its whole
-            // class's digest (signatures are NPN invariants), so
-            // re-keying the representatives reconstructs exactly the
-            // buckets the previous process had — no canonical walk is
-            // repeated for a recovered class.
+            // Rebuild the buckets of the classes past the walk's budget:
+            // a stored representative's signature digest equals its
+            // whole class's digest (signatures are NPN invariants), so
+            // re-keying those representatives reconstructs exactly the
+            // buckets the previous process had. Every other class is
+            // found again by its members' walks, which reproduce the
+            // stored label; the budget verdict is an orbit invariant, so
+            // walking the representative tells the two apart.
             store.for_each(|_, entry| {
-                resolver.prime(
-                    signature_key(&entry.representative, cfg.set),
-                    entry.representative.clone(),
-                );
+                if !certified_canonical_with_witness(&entry.representative).invariant {
+                    resolver.prime(
+                        signature_key(&entry.representative, cfg.set),
+                        entry.representative.clone(),
+                    );
+                }
             });
         }
         let processed = Arc::new(AtomicU64::new(base_seq));
@@ -677,8 +695,10 @@ impl Engine {
             // Certified-resolution counters: registered in every mode
             // (a digest engine scrapes zeros) so the series schema is
             // stable whatever the resolution.
-            let r = Arc::clone(&resolver);
-            telemetry.counter_fn("engine_canon_walks_total", move || r.walks());
+            let w = Arc::clone(&canon_walks);
+            telemetry.counter_fn("engine_canon_walks_total", move || {
+                w.load(Ordering::Relaxed)
+            });
             let r = Arc::clone(&resolver);
             telemetry.counter_fn("engine_canon_matches_total", move || r.matches());
             let r = Arc::clone(&resolver);
@@ -752,6 +772,7 @@ impl Engine {
             started: Instant::now(),
             telemetry,
             resolver,
+            canon_walks,
             certified,
             cfg,
         })
@@ -788,12 +809,14 @@ impl Engine {
     /// store. The query itself is read-only: it never creates a class,
     /// counts a member or touches the stream.
     ///
-    /// In certified mode the answer comes from the resolver's cached
-    /// representative when the class is known (so the key and size
-    /// match the census even for a class whose label came from a capped
-    /// walk); otherwise — unknown class, or a digest-mode engine — one
-    /// canonical walk computes the representative and the witness on
-    /// the spot, and the size is reported as `0`.
+    /// One canonical walk computes the representative and the witness
+    /// on the calling thread; a certified engine then reads the size
+    /// under the label's key (`0` for an unknown class, and always in
+    /// digest mode). Only a function past the walk's budget, whose label
+    /// is not class-invariant, takes the certified engine's resolver
+    /// path: its bucket's cached representative and a matcher witness,
+    /// so the key and size match the census. An unknown class past the
+    /// budget is answered with the walk's label.
     pub fn canon(&self, f: &TruthTable) -> CanonAnswer {
         answer_canon(&self.store, self.certified.as_deref(), self.cfg.set, f)
     }
@@ -1125,7 +1148,7 @@ impl Engine {
             recovered_members: self.base_seq,
             durability: self.store.durability_snapshot(),
             resolution: self.cfg.resolution,
-            canon_walks: self.resolver.walks(),
+            canon_walks: self.canon_walks.load(Ordering::Relaxed),
             canon_matches: self.resolver.matches(),
             canon_fallbacks: self.resolver.fallbacks(),
         }
@@ -1144,16 +1167,19 @@ impl Drop for Engine {
 }
 
 /// Classifies one chunk, one entry at a time: probe the memo cache, and
-/// on a miss key the table through the scalar kernel, resolve it
-/// (certified engines), land it in the store and record the key in the
-/// cache. Progress is counted **per function**, so `pending()` and
-/// [`Engine::drain`] observe smooth, never-overshooting progress even
-/// mid-chunk. The chunk's `(seq, key)` pairs then stream into the
-/// order sink in one short lock and the submit→classified latency is
-/// recorded.
+/// on a miss key the table (through the scalar kernel, or in certified
+/// engines through the canonical walk, see `CertifiedResolve::resolve`),
+/// land it in the store and record the key in the cache. Progress is
+/// counted **per function**, so `pending()` and [`Engine::drain`]
+/// observe smooth, never-overshooting progress even mid-chunk. The
+/// chunk's `(seq, key)` pairs then stream into the order sink in one
+/// short lock and the submit→classified latency is recorded.
 ///
-/// Allocation-free in steady state: the reused `log` stops growing
-/// once it has seen the largest chunk.
+/// Allocation-free in digest mode in steady state: the reused `log`
+/// stops growing once it has seen the largest chunk. Certified misses
+/// pay the walk's few allocations; their invariant-label count is
+/// tallied per chunk and published once, so the loop touches no shared
+/// counter for it.
 ///
 /// Accounting note: every entry counts exactly once, as a cache hit
 /// (its probe succeeded) or a miss (it was keyed and recorded), so
@@ -1173,6 +1199,7 @@ fn classify_job(
     chunk_latency: &LatencyHistogram,
     certified: Option<&CertifiedResolve>,
 ) {
+    let mut walks = 0u64;
     for (seq, table) in &job.entries {
         let key = match cache.peek(table) {
             Some(key) => {
@@ -1180,19 +1207,19 @@ fn classify_job(
                 key
             }
             None => {
-                let digest = kernel.key(table);
-                // In certified mode the signature digest only names the
-                // bucket; the store key and the stored representative
-                // are the *proved* ones from the resolver. Either way
-                // the store insert lands before the cache records the
-                // key, so a later hit always finds an occupied entry.
+                // In certified mode the store key and the stored
+                // representative are the *proved* ones. Either way the
+                // store insert lands before the cache records the key,
+                // so a later hit always finds an occupied entry.
                 let key = match certified {
                     None => {
+                        let digest = kernel.key(table);
                         store.insert(digest, table, *seq);
                         digest
                     }
                     Some(tier) => {
-                        let (key, representative) = tier.resolve(digest, table);
+                        let (key, representative, invariant) = tier.resolve(kernel, table);
+                        walks += u64::from(invariant);
                         store.insert(key, &representative, *seq);
                         key
                     }
@@ -1203,6 +1230,9 @@ fn classify_job(
         };
         log.push((*seq, key));
         processed.fetch_add(1, Ordering::AcqRel);
+    }
+    if let Some(tier) = certified {
+        tier.walks.fetch_add(walks, Ordering::Relaxed);
     }
     order.apply(log);
     log.clear();

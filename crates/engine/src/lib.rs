@@ -28,11 +28,11 @@
 //!   workers touching different classes never contend;
 //! * **memoizes** — an optional sharded table→key cache short-circuits
 //!   repeated-function traffic (cut workloads repeat heavily);
-//! * **certifies** — [`Resolution::Certified`] resolves every digest
-//!   bucket into **proved** NPN classes: a bucket's first member is
-//!   canonicalized eagerly (one influence-aided canonical walk at every
-//!   arity), later members take the exact pairwise-matcher witness
-//!   path against the cached representative,
+//! * **certifies** — [`Resolution::Certified`] keys **proved** NPN
+//!   classes: each miss takes one influence-aided canonical walk, whose
+//!   class-invariant label is the class; only functions past the
+//!   walk's work budget are bucketed by digest and take the exact
+//!   pairwise-matcher witness path against the cached representatives,
 //!   and [`Engine::canon`] answers point queries with the proved
 //!   representative plus a witness transform;
 //! * **persists** — [`Engine::builder`]`.persist(dir)` journals every

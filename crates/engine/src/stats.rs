@@ -99,16 +99,18 @@ pub struct EngineStats {
     /// Resolution tier the engine ran
     /// ([`Resolution::Digest`]/[`Resolution::Certified`]).
     pub resolution: Resolution,
-    /// Certified classes created by an eager canonical walk with an
-    /// orbit-invariant label. `0` in digest mode.
+    /// Certified misses keyed by the canonical walk's label alone: the
+    /// walk stayed within its budget, so the label is class-invariant
+    /// and no signature key or matcher ran. Counts every such miss,
+    /// not only class creations. `0` in digest mode.
     pub canon_walks: u64,
-    /// Members resolved against an already-cached certified
-    /// representative via the exact pairwise matcher. `0` in digest
-    /// mode.
+    /// Certified misses past the walk's budget that joined an
+    /// already-cached representative of their digest bucket through
+    /// the exact pairwise matcher. `0` in digest mode.
     pub canon_matches: u64,
-    /// Certified classes whose label came from a capped walk (more
-    /// post-collapse work than the walk's adversarial-input budget;
-    /// the partition is still exact). `0` in digest mode.
+    /// Certified classes past the walk's budget, created in their
+    /// digest bucket with the capped walk's label (the partition is
+    /// still exact). `0` in digest mode.
     pub canon_fallbacks: u64,
 }
 

@@ -1,15 +1,19 @@
 //! Cross-checks of the certified resolution tier against the exact
 //! classifier: exhaustively over every function at small arity,
 //! statistically above, across worker counts — plus the durable-store
-//! roundtrip (recovered censuses prime the resolver, so nothing is
-//! re-walked) and the cross-mode reopen refusal.
+//! roundtrip (a re-fed recovered stream adds no class), the past-budget
+//! path through the digest buckets and the matcher, and the cross-mode
+//! reopen refusal.
 
 use facepoint_bench::{random_workload, transform_closure_workload};
 use facepoint_core::wire::{Record, WIRE_VERSION};
 use facepoint_engine::{certified_key, Engine, EngineConfig, EngineReport, Resolution};
-use facepoint_exact::{certified_canonical, exact_classify, ClassLabels};
+use facepoint_exact::{
+    certified_canonical, certified_canonical_with_witness, exact_classify, ClassLabels,
+};
 use facepoint_sig::SignatureSet;
-use facepoint_truth::TruthTable;
+use facepoint_truth::{NpnTransform, TruthTable};
+use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
 
 fn certified_cfg(workers: usize) -> EngineConfig {
@@ -17,7 +21,8 @@ fn certified_cfg(workers: usize) -> EngineConfig {
         .workers(workers)
         .chunk_size(16)
         // The memo cache would dedup repeated tables before resolution;
-        // off, so every member exercises the walk-or-witness path.
+        // off, so every member is a miss and takes the walk (and, past
+        // the walk's budget, the bucket-and-matcher path).
         .cache_capacity(0)
         .certified()
         .build()
@@ -116,26 +121,18 @@ fn statistical_cross_check_matches_exact_classifier() {
                 "n={n} workers={workers}"
             );
             assert_eq!(report.stats.num_classes, expected.num_classes());
-            // The resolver accounted every member: one walk or fallback
-            // per class, one witness match for everyone else. Two
-            // workers racing on a fresh class both walk (the loser's
-            // insert is double-checked away and re-counted as a match),
-            // so only the single-worker run is exact; concurrent runs
-            // bound from below.
+            // Every function here is within the walk's budget, so with
+            // the cache off each one is a miss keyed by its label alone:
+            // one walk per function, at any worker count, and neither
+            // the matcher nor a capped label.
             let stats = &report.stats;
-            let creations = stats.canon_walks + stats.canon_fallbacks;
-            let class_count = expected.num_classes() as u64;
-            let member_count = (fns.len() - expected.num_classes()) as u64;
-            if workers == 1 {
-                assert_eq!(creations, class_count, "n={n}");
-                assert_eq!(stats.canon_matches, member_count, "n={n}");
-            } else {
-                assert!(creations >= class_count, "n={n} workers={workers}");
-                assert!(
-                    stats.canon_matches >= member_count,
-                    "n={n} workers={workers}"
-                );
-            }
+            assert_eq!(
+                stats.canon_walks,
+                fns.len() as u64,
+                "n={n} workers={workers}"
+            );
+            assert_eq!(stats.canon_matches, 0, "n={n} workers={workers}");
+            assert_eq!(stats.canon_fallbacks, 0, "n={n} workers={workers}");
         }
     }
 }
@@ -163,9 +160,10 @@ fn canon_answers_carry_valid_witnesses() {
 }
 
 /// Durable certified roundtrip: the snapshot reports the certified
-/// tier and the same census through the shared render path; reopening
-/// primes the resolver from the stored representatives, so resubmitting
-/// the identical stream performs zero canonicalization walks.
+/// tier and the same census through the shared render path; after a
+/// reopen, every member's walk reproduces its stored label, so
+/// resubmitting the identical stream adds no class and never reaches
+/// the resolver.
 #[test]
 fn certified_store_persists_and_primes_the_resolver() {
     let dir = scratch_dir("roundtrip");
@@ -180,7 +178,7 @@ fn certified_store_persists_and_primes_the_resolver() {
     engine.submit_batch(fns.iter().cloned());
     let first = engine.finish();
     assert_eq!(first.stats.num_classes, expected.num_classes());
-    assert!(first.stats.canon_walks + first.stats.canon_fallbacks >= expected.num_classes() as u64);
+    assert_eq!(first.stats.canon_walks, fns.len() as u64);
 
     let snap = Engine::recover(&dir).expect("recover certified store");
     assert_eq!(snap.resolution, Resolution::Certified);
@@ -201,13 +199,14 @@ fn certified_store_persists_and_primes_the_resolver() {
     assert_eq!(engine.recovery().unwrap().members, fns.len() as u64);
     engine.submit_batch(fns.iter().cloned());
     let second = engine.finish();
-    assert_eq!(
-        second.stats.canon_walks, 0,
-        "recovered classes were re-walked"
-    );
+    assert_eq!(second.stats.canon_walks, fns.len() as u64);
     assert_eq!(second.stats.canon_fallbacks, 0);
-    assert_eq!(second.stats.canon_matches, fns.len() as u64);
-    assert_eq!(second.stats.num_classes, expected.num_classes());
+    assert_eq!(second.stats.canon_matches, 0);
+    assert_eq!(
+        second.stats.num_classes,
+        expected.num_classes(),
+        "the re-fed recovered stream added a class"
+    );
 
     let cumulative = Engine::recover(&dir).expect("post-finish recover");
     assert_eq!(cumulative.members(), 2 * fns.len() as u64);
@@ -281,9 +280,10 @@ fn dedup_cache_never_steals_certified_representatives() {
     );
     assert_proved(&first.census);
 
-    // The reopened store primes resolver and cache from the stored
-    // representatives; had a raw table been journaled as one, the
-    // identical re-feed would split its class (and walk it again).
+    // The reopened store primes the cache from the stored
+    // representatives, and every member's walk reproduces its stored
+    // label; had a raw table been journaled as one, the identical
+    // re-feed would split its class.
     let snap = Engine::recover(&dir).expect("recover certified store");
     for class in &snap.classes {
         assert_eq!(certified_key(&class.representative), class.key);
@@ -301,11 +301,111 @@ fn dedup_cache_never_steals_certified_representatives() {
         "reopen split a certified class"
     );
     assert_eq!(
-        second.stats.canon_walks + second.stats.canon_fallbacks,
-        0,
-        "recovered classes were re-walked"
+        second.stats.canon_fallbacks, 0,
+        "a recovered class was created again"
     );
     assert_proved(&second.census);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `(x0⊕x5)(x1⊕x6)(x2⊕x7)(x3⊕x8)(x4⊕x9)` (`or = false`) or its OR
+/// form: XOR pairs whose walk exceeds the budget at n = 10.
+fn xor_pairs(or: bool) -> TruthTable {
+    TruthTable::from_fn(10, |m| {
+        let pairs = (m ^ (m >> 5)) & 0x1f;
+        if or {
+            pairs != 0
+        } else {
+            pairs == 0x1f
+        }
+    })
+    .unwrap()
+}
+
+/// Functions past the walk's budget take the digest-bucket and matcher
+/// path, everything else is keyed by its label alone, and the two
+/// paths never split a class. A durable engine ingests a within-budget
+/// transform closure at n = 5..8 plus parity(16), its complement and
+/// random transforms of the n = 10 XOR pairs in AND and OR form; the
+/// partition is the exact classifier's, the counters split by path,
+/// `CANON` of a past-budget member answers its census class, and after
+/// a reopen the recovery-primed buckets match every past-budget member
+/// again instead of creating its class twice.
+#[test]
+fn past_budget_classes_take_the_bucket_path_and_survive_a_reopen() {
+    let mut within = Vec::new();
+    for n in 5..=8 {
+        within.extend(transform_closure_workload(n, 4, 3, 0xB0D6 ^ n as u64));
+    }
+    let parity = TruthTable::parity(16);
+    let mut past = vec![parity.negated(), parity];
+    let mut rng = StdRng::seed_from_u64(0x5EED_B0D6);
+    for or in [false, true] {
+        let f = xor_pairs(or);
+        for _ in 0..4 {
+            past.push(NpnTransform::random(10, &mut rng).apply(&f));
+        }
+    }
+    for f in &within {
+        assert!(certified_canonical_with_witness(f).invariant, "f = {f}");
+    }
+    for f in &past {
+        assert!(!certified_canonical_with_witness(f).invariant, "f = {f}");
+    }
+    let mut fns = within.clone();
+    fns.extend(past.iter().cloned());
+    let expected = exact_classify(&fns);
+    let past_classes = expected.labels()[within.len()..]
+        .iter()
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+
+    let dir = scratch_dir("past-budget");
+    let open = || {
+        Engine::builder()
+            .config(certified_cfg(1))
+            .persist(&dir)
+            .build()
+            .unwrap()
+    };
+    let engine = open();
+    engine.submit_batch(fns.iter().cloned());
+    assert!(engine.drain(std::time::Duration::from_secs(120)));
+    let census = engine.top_classes(usize::MAX);
+    for f in &past {
+        let answer = engine.canon(f);
+        assert_eq!(answer.witness.apply(f), answer.entry.representative);
+        assert!(answer.entry.size >= 1, "past-budget class missing: f = {f}");
+        let class = census
+            .iter()
+            .find(|c| c.key == answer.entry.key)
+            .expect("CANON answered a key outside the census");
+        assert_eq!(class.representative, answer.entry.representative);
+    }
+    let first = engine.finish();
+    let labels = ClassLabels::from_keys(first.classification.labels().iter().copied());
+    assert_eq!(labels.labels(), expected.labels());
+    assert_eq!(first.stats.num_classes, expected.num_classes());
+    let stats = &first.stats;
+    assert_eq!(stats.canon_walks, within.len() as u64);
+    assert_eq!(stats.canon_fallbacks, past_classes);
+    assert_eq!(stats.canon_matches, past.len() as u64 - past_classes);
+
+    let engine = open();
+    engine.submit_batch(fns.iter().cloned());
+    let second = engine.finish();
+    assert_eq!(
+        second.stats.num_classes,
+        expected.num_classes(),
+        "the re-fed stream added a class"
+    );
+    assert_eq!(second.stats.canon_walks, within.len() as u64);
+    assert_eq!(second.stats.canon_fallbacks, 0);
+    assert_eq!(
+        second.stats.canon_matches,
+        past.len() as u64,
+        "recovery did not prime the past-budget buckets"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -61,7 +61,7 @@ pub use enumerate::{
 pub use exhaustive::{
     canonical_u64, exact_npn_canonical, exact_npn_canonical_with_witness, exhaustive_states,
 };
-pub use matcher::{are_npn_equivalent, npn_match, p_match, pn_match};
+pub use matcher::{are_npn_equivalent, npn_match};
 pub use resolver::{
     certified_canonical, certified_canonical_with_witness, BucketResolver, CertifiedCanonical,
     Resolved,

@@ -83,98 +83,6 @@ pub fn are_npn_equivalent(f: &TruthTable, g: &TruthTable) -> bool {
     npn_match(f, g).is_some()
 }
 
-/// Decides **PN equivalence** (input negation + permutation, no output
-/// negation): `g(X) = f(Y)`, `Y_i = X_{perm[i]} ⊕ neg_i`.
-///
-/// The restriction the paper's Theorems 1, 2 and 4 are stated for.
-///
-/// # Panics
-///
-/// Panics if the functions have different variable counts.
-pub fn pn_match(f: &TruthTable, g: &TruthTable) -> Option<NpnTransform> {
-    assert_eq!(
-        f.num_vars(),
-        g.num_vars(),
-        "PN matching requires equal variable counts"
-    );
-    if f.count_ones() != g.count_ones() {
-        return None;
-    }
-    if f.num_vars() == 0 {
-        return (f == g).then(|| NpnTransform::identity(0));
-    }
-    let (perm, neg) = match_pn(f, g)?;
-    let t = NpnTransform::new(perm, neg, false);
-    debug_assert_eq!(t.apply(f), *g);
-    Some(t)
-}
-
-/// Decides **P equivalence** (permutation only): `g(X) = f(π(X))`.
-///
-/// # Panics
-///
-/// Panics if the functions have different variable counts.
-pub fn p_match(f: &TruthTable, g: &TruthTable) -> Option<Permutation> {
-    assert_eq!(
-        f.num_vars(),
-        g.num_vars(),
-        "P matching requires equal variable counts"
-    );
-    let n = f.num_vars();
-    if f.count_ones() != g.count_ones() {
-        return None;
-    }
-    if n == 0 {
-        return (f == g).then(|| Permutation::identity(0));
-    }
-    // Candidates must preserve the *ordered* cofactor pair (no phase
-    // freedom here).
-    let key = |t: &TruthTable, v: usize| (t.cofactor_count(v, false), t.cofactor_count(v, true));
-    let mut order: Vec<usize> = (0..n).collect();
-    let candidates: Vec<Vec<usize>> = (0..n)
-        .map(|i| (0..n).filter(|&j| key(g, j) == key(f, i)).collect())
-        .collect();
-    order.sort_by_key(|&i| candidates[i].len());
-    fn descend(
-        f: &TruthTable,
-        g: &TruthTable,
-        order: &[usize],
-        candidates: &[Vec<usize>],
-        assignment: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-        depth: usize,
-    ) -> bool {
-        let n = f.num_vars();
-        if depth == n {
-            let perm = Permutation::from_slice(assignment).expect("bijective");
-            return f.permute_vars(&perm) == *g;
-        }
-        let fv = order[depth];
-        for &gv in &candidates[fv] {
-            if used[gv] {
-                continue;
-            }
-            assignment[fv] = gv;
-            used[gv] = true;
-            if descend(f, g, order, candidates, assignment, used, depth + 1) {
-                return true;
-            }
-            assignment[fv] = usize::MAX;
-            used[gv] = false;
-        }
-        false
-    }
-    let mut assignment = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    if descend(f, g, &order, &candidates, &mut assignment, &mut used, 0) {
-        let perm = Permutation::from_slice(&assignment).expect("bijective");
-        debug_assert_eq!(f.permute_vars(&perm), *g);
-        Some(perm)
-    } else {
-        None
-    }
-}
-
 /// Per-variable invariant profile: the unordered cofactor-count pair and
 /// the influence. A variable of `h` can only map to a variable of `g`
 /// with an identical profile.
@@ -369,10 +277,12 @@ mod tests {
 
     #[test]
     fn output_phase_only() {
-        let f = TruthTable::from_hex(4, "0123").unwrap();
-        let g = f.negated();
-        let w = npn_match(&f, &g).expect("complement is NPN-equivalent");
-        assert_eq!(w.apply(&f), g);
+        for hex in ["0123", "0abc"] {
+            let f = TruthTable::from_hex(4, hex).unwrap();
+            let g = f.negated();
+            let w = npn_match(&f, &g).expect("complement is NPN-equivalent");
+            assert_eq!(w.apply(&f), g);
+        }
     }
 
     #[test]
@@ -399,50 +309,6 @@ mod tests {
         let c1 = TruthTable::one(3).unwrap();
         assert!(are_npn_equivalent(&c0, &c1));
         assert!(!are_npn_equivalent(&c0, &TruthTable::majority(3)));
-    }
-
-    #[test]
-    fn pn_match_excludes_output_negation() {
-        let f = TruthTable::from_hex(4, "0abc").unwrap();
-        let g = f.negated();
-        assert!(npn_match(&f, &g).is_some(), "NPN links complements");
-        assert!(pn_match(&f, &g).is_none(), "PN must not");
-        // But PN finds pure input transforms.
-        let h = f.flip_var(2).swap_vars(0, 3);
-        let w = pn_match(&f, &h).expect("input-only transform");
-        assert!(!w.output_neg());
-        assert_eq!(w.apply(&f), h);
-    }
-
-    #[test]
-    fn p_match_is_permutation_only() {
-        let f = TruthTable::from_hex(4, "1780").unwrap();
-        let g = f.swap_vars(1, 3).swap_vars(0, 2);
-        let perm = p_match(&f, &g).expect("permuted copy");
-        assert_eq!(f.permute_vars(&perm), g);
-        // Negating an input breaks pure-P equivalence for this function.
-        let h = f.flip_var(0);
-        assert!(p_match(&f, &h).is_none());
-    }
-
-    #[test]
-    fn match_hierarchy_is_consistent() {
-        use rand::RngExt;
-        // P ⊆ PN ⊆ NPN on random pairs.
-        let mut rng = StdRng::seed_from_u64(331);
-        for _ in 0..30 {
-            let f = TruthTable::random(4, &mut rng).unwrap();
-            let g = if rng.random::<bool>() {
-                NpnTransform::random(4, &mut rng).apply(&f)
-            } else {
-                TruthTable::random(4, &mut rng).unwrap()
-            };
-            let p = p_match(&f, &g).is_some();
-            let pn = pn_match(&f, &g).is_some();
-            let npn = npn_match(&f, &g).is_some();
-            assert!(!p || pn, "P implies PN");
-            assert!(!pn || npn, "PN implies NPN");
-        }
     }
 
     #[test]

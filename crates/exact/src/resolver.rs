@@ -18,12 +18,17 @@
 //! ([`exact_npn_canonical`](crate::exact_npn_canonical)) is the oracle
 //! it is tested against.
 //!
-//! Signature digests are *necessary* conditions for NPN equivalence, so
-//! a digest bucket can merge — never split — true classes. This module
-//! promotes a bucket to certainty: [`BucketResolver`] keeps, per digest
-//! key, the certified representatives discovered so far; a bucket's
-//! first member is canonicalized eagerly by the walk, and later members
-//! take the cheap exact [`npn_match`](crate::npn_match) witness path
+//! Within the walk's work budget the label is class-invariant, so it
+//! names the class on its own: a certified engine keys such a function
+//! by its label after one walk, with no signature digest and no
+//! matcher. Past the budget the walk evaluates only its first candidate
+//! and the label is not invariant; those functions need
+//! [`BucketResolver`]. Signature digests are *necessary* conditions for
+//! NPN equivalence, so a digest bucket can merge — never split — true
+//! classes. The resolver promotes a bucket to certainty: it keeps, per
+//! digest key, the certified representatives discovered so far; a
+//! bucket's first member of a class is labelled by the walk, and later
+//! members take the exact [`npn_match`](crate::npn_match) witness path
 //! against the cached representatives. The matcher is exact in both
 //! directions, so the resulting partition is the true NPN partition
 //! whatever the canonical labels look like.
@@ -499,7 +504,6 @@ pub struct Resolved {
 #[derive(Debug)]
 pub struct BucketResolver {
     shards: Vec<Mutex<HashMap<u128, Vec<TruthTable>>>>,
-    walks: AtomicU64,
     matches: AtomicU64,
     fallbacks: AtomicU64,
 }
@@ -517,7 +521,6 @@ impl BucketResolver {
             shards: (0..RESOLVER_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            walks: AtomicU64::new(0),
             matches: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
         }
@@ -554,9 +557,7 @@ impl BucketResolver {
         // First member of a new class in this bucket: canonicalize
         // eagerly, outside the lock.
         let (canon, invariant) = certified_canonical(f);
-        if invariant {
-            self.walks.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !invariant {
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         let mut shard = self.shard(digest).lock().expect("resolver shard poisoned");
@@ -612,12 +613,6 @@ impl BucketResolver {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// Eager canonical walks performed (class creations with an
-    /// invariant label).
-    pub fn walks(&self) -> u64 {
-        self.walks.load(Ordering::Relaxed)
     }
 
     /// Members resolved through the pairwise-matcher path against a
@@ -806,7 +801,6 @@ mod tests {
         assert!(split.fresh);
         assert_ne!(split.representative, first.representative);
         assert_eq!(resolver.num_classes(), 2);
-        assert_eq!(resolver.walks() + resolver.fallbacks(), 2);
         assert_eq!(resolver.matches(), 1);
     }
 
@@ -835,7 +829,6 @@ mod tests {
         let resolved = resolver.resolve(99, &f.flip_var(2));
         assert!(!resolved.fresh, "primed class is matched, not re-walked");
         assert_eq!(resolved.representative, canon);
-        assert_eq!(resolver.walks(), 0);
     }
 
     #[test]
