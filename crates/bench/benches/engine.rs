@@ -111,21 +111,20 @@ fn bench_journaled_ingest(c: &mut Criterion) {
 }
 
 fn bench_ingest_contention(c: &mut Criterion) {
-    // The work-stealing pool under deliberate queue pressure:
-    // one-function chunks put a queue operation on every submission,
-    // so this measures the ingest path itself.
+    // The ingest queue under deliberate pressure: one-function chunks
+    // put a queue operation on every submission, so this measures the
+    // ingest path itself.
     let mut group = c.benchmark_group("engine_ingest_contention");
     group.sample_size(10);
     let fns = facepoint_bench::balanced_workload(8, 2048, 0xC0E);
     group.throughput(Throughput::Elements(fns.len() as u64));
     for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("steal-pool", workers), &fns, |b, fns| {
+        group.bench_with_input(BenchmarkId::new("queue", workers), &fns, |b, fns| {
             b.iter(|| {
                 let engine = Engine::builder()
                     .config(EngineConfig {
                         workers,
                         chunk_size: 1,
-                        deque_capacity: 64,
                         ..EngineConfig::default()
                     })
                     .build()

@@ -122,21 +122,11 @@ pub struct EngineConfig {
     /// two). More shards mean less lock contention and a finer-grained
     /// occupancy report; 64 is plenty below a few hundred cores.
     pub shards: usize,
-    /// Functions per work item. Chunking amortizes channel and queue
-    /// costs; within a chunk a worker runs lock-free except for store
-    /// inserts.
+    /// Functions per work item. Chunking amortizes queue costs; within
+    /// a chunk a worker runs lock-free except for store inserts. The
+    /// ingest queue holds 8 chunks per worker; `submit` blocks while it
+    /// is full — backpressure instead of unbounded memory.
     pub chunk_size: usize,
-    /// Bounded capacity of each worker's ingest deque, in *chunks*
-    /// (minimum 1). The pool's total capacity is
-    /// `workers × deque_capacity`; `submit` blocks when every deque is
-    /// full — backpressure instead of unbounded memory.
-    pub deque_capacity: usize,
-    /// Chunks a worker steals from a victim's deque in one go when its
-    /// own deque runs dry (clamped to `1..=deque_capacity`). Larger
-    /// batches amortize the victim's lock over more work; smaller ones
-    /// keep load spread finer. Steals are counted in
-    /// [`EngineStats::steals`](crate::EngineStats::steals).
-    pub steal_batch: usize,
     /// Whether to record the per-submission label log that
     /// [`Engine::finish`](crate::Engine::finish) assembles into the
     /// input-ordered [`Classification`](facepoint_core::Classification)
@@ -173,8 +163,6 @@ impl Default for EngineConfig {
             workers: 0,
             shards: 64,
             chunk_size: 256,
-            deque_capacity: 8,
-            steal_batch: 4,
             track_labels: true,
             cache_capacity: 0,
             persist: None,
@@ -185,8 +173,7 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A builder over the defaults — the one place where every knob is
-    /// validated and clamped (worker/shard resolution, minimum queue
-    /// geometry).
+    /// validated and clamped (shard round-up, minimum chunk size).
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             cfg: EngineConfig::default(),
@@ -223,7 +210,7 @@ impl EngineConfig {
 ///
 /// Every setter takes the raw requested value; [`build`] is the single
 /// place where clamping happens (shard power-of-two round-up, minimum
-/// chunk/deque/steal geometry), so the produced configuration is
+/// chunk size), so the produced configuration is
 /// always internally consistent. Obtained via [`EngineConfig::builder`].
 ///
 /// [`build`]: EngineConfigBuilder::build
@@ -259,20 +246,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Bounded per-worker deque capacity in chunks (minimum 1 after
-    /// [`build`](Self::build)).
-    pub fn deque_capacity(mut self, deque_capacity: usize) -> Self {
-        self.cfg.deque_capacity = deque_capacity;
-        self
-    }
-
-    /// Chunks stolen from a victim in one go (clamped to
-    /// `1..=deque_capacity` by [`build`](Self::build)).
-    pub fn steal_batch(mut self, steal_batch: usize) -> Self {
-        self.cfg.steal_batch = steal_batch;
-        self
-    }
-
     /// Whether to record per-submission labels (`false` = census-only
     /// streaming with flat memory).
     pub fn track_labels(mut self, track_labels: bool) -> Self {
@@ -304,15 +277,12 @@ impl EngineConfigBuilder {
     }
 
     /// Finalizes the configuration, clamping every knob into its valid
-    /// range: shards round up to a power of two (minimum 1), chunk
-    /// size and deque capacity clamp to at least 1, and the steal
-    /// batch clamps to `1..=deque_capacity`.
+    /// range: shards round up to a power of two (minimum 1) and the
+    /// chunk size clamps to at least 1.
     pub fn build(self) -> EngineConfig {
         let mut cfg = self.cfg;
         cfg.shards = cfg.shards.max(1).next_power_of_two();
         cfg.chunk_size = cfg.chunk_size.max(1);
-        cfg.deque_capacity = cfg.deque_capacity.max(1);
-        cfg.steal_batch = cfg.steal_batch.clamp(1, cfg.deque_capacity);
         cfg
     }
 }
@@ -328,8 +298,7 @@ mod tests {
         assert_eq!(cfg.resolved_shards(), 64);
         assert_eq!(cfg.set, SignatureSet::all());
         assert!(cfg.track_labels);
-        assert!(cfg.deque_capacity >= 1);
-        assert!(cfg.steal_batch >= 1);
+        assert_eq!(cfg.chunk_size, 256);
     }
 
     #[test]
@@ -345,22 +314,11 @@ mod tests {
 
     #[test]
     fn builder_clamps_every_knob() {
-        let cfg = EngineConfig::builder()
-            .shards(3)
-            .chunk_size(0)
-            .deque_capacity(0)
-            .steal_batch(0)
-            .build();
+        let cfg = EngineConfig::builder().shards(3).chunk_size(0).build();
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.chunk_size, 1);
-        assert_eq!(cfg.deque_capacity, 1);
-        assert_eq!(cfg.steal_batch, 1);
-        // The steal batch never exceeds the deque capacity.
-        let cfg = EngineConfig::builder()
-            .deque_capacity(2)
-            .steal_batch(99)
-            .build();
-        assert_eq!(cfg.steal_batch, 2);
+        let cfg = EngineConfig::builder().shards(0).build();
+        assert_eq!(cfg.shards, 1);
     }
 
     #[test]

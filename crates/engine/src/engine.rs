@@ -1,9 +1,9 @@
-//! The engine proper: ingestion, the work-stealing worker pool, and
-//! result assembly.
+//! The engine proper: ingestion, the workers fed by one bounded FIFO
+//! queue, and result assembly.
 
 use crate::cache::MemoCache;
 use crate::config::{EngineConfig, PersistConfig, Resolution};
-use crate::pool::{PoolConfig, StealPool};
+use crate::pool::IngestQueue;
 use crate::stats::{EngineSnapshot, EngineStats, RecoveryReport};
 use crate::store::{self, ClassSummary, ShardedStore, StoreTelemetry};
 use facepoint_core::{
@@ -262,7 +262,7 @@ pub struct Engine {
     store: Arc<ShardedStore>,
     cache: Arc<MemoCache>,
     processed: Arc<AtomicU64>,
-    pool: Arc<StealPool<Job>>,
+    queue: Arc<IngestQueue<Job>>,
     order: Arc<OrderSink>,
     handles: Vec<JoinHandle<()>>,
     /// Next submission number: submission order is the global
@@ -323,16 +323,7 @@ impl RecoveredSnapshot {
     /// first; same ordering and line format as every other census
     /// consumer).
     pub fn census_view(&self) -> CensusView {
-        CensusView::new(
-            self.classes
-                .iter()
-                .map(|c| CensusEntry {
-                    key: c.key,
-                    size: c.size as u64,
-                    representative: c.representative.clone(),
-                })
-                .collect(),
-        )
+        census_view(&self.classes)
     }
 }
 
@@ -364,17 +355,22 @@ impl EngineReport {
     /// first; same ordering and line format as every other census
     /// consumer).
     pub fn census_view(&self) -> CensusView {
-        CensusView::new(
-            self.census
-                .iter()
-                .map(|c| CensusEntry {
-                    key: c.key,
-                    size: c.size as u64,
-                    representative: c.representative.clone(),
-                })
-                .collect(),
-        )
+        census_view(&self.census)
     }
+}
+
+/// Store class summaries as the shared census render path.
+fn census_view(classes: &[ClassSummary]) -> CensusView {
+    CensusView::new(
+        classes
+            .iter()
+            .map(|c| CensusEntry {
+                key: c.key,
+                size: c.size as u64,
+                representative: c.representative.clone(),
+            })
+            .collect(),
+    )
 }
 
 /// One buffered [`Engine::submit_batch`] entry, held *without* a
@@ -433,7 +429,7 @@ impl EngineBuilder {
     /// Builds the engine: resolves the configuration through
     /// [`EngineConfig::builder`]'s clamping, opens (or creates) the
     /// durable store when [`persist`](Self::persist) was given, and
-    /// starts the worker pool.
+    /// starts the workers.
     ///
     /// # Errors
     ///
@@ -643,23 +639,17 @@ impl Engine {
         }
         let processed = Arc::new(AtomicU64::new(base_seq));
         let order = Arc::new(OrderSink::new(cfg.track_labels, base_seq));
-        let pool = Arc::new(StealPool::new(PoolConfig {
-            workers,
-            deque_capacity: cfg.deque_capacity.max(1),
-            steal_batch: cfg.steal_batch.max(1),
-        }));
+        let queue = Arc::new(IngestQueue::new(workers));
         let next_seq = Arc::new(AtomicU64::new(base_seq));
         let dedup_hits = Arc::new(AtomicU64::new(0));
         // Totals the subsystems already track in their own atomics are
         // surfaced as sampled series — read at scrape time, never
         // double-counted on the hot path.
         {
-            let p = Arc::clone(&pool);
-            telemetry.counter_fn("engine_steals_total", move || p.steals());
-            let p = Arc::clone(&pool);
-            telemetry.counter_fn("engine_parks_total", move || p.parks());
-            let p = Arc::clone(&pool);
-            telemetry.gauge_fn("engine_deque_depth", move || p.queued() as f64);
+            let q = Arc::clone(&queue);
+            telemetry.counter_fn("engine_parks_total", move || q.parks());
+            let q = Arc::clone(&queue);
+            telemetry.gauge_fn("engine_deque_depth", move || q.queued() as f64);
             let c = Arc::clone(&cache);
             telemetry.counter_fn("engine_cache_hits_total", move || c.hits());
             let c = Arc::clone(&cache);
@@ -729,8 +719,8 @@ impl Engine {
             });
         }
         let handles = (0..workers)
-            .map(|me| {
-                let pool = Arc::clone(&pool);
+            .map(|_| {
+                let queue = Arc::clone(&queue);
                 let store = Arc::clone(&store);
                 let cache = Arc::clone(&cache);
                 let processed = Arc::clone(&processed);
@@ -740,8 +730,7 @@ impl Engine {
                 let certified = certified.clone();
                 std::thread::spawn(move || {
                     worker_loop(
-                        me,
-                        &pool,
+                        &queue,
                         &store,
                         &cache,
                         &processed,
@@ -759,7 +748,7 @@ impl Engine {
             store,
             cache,
             processed,
-            pool,
+            queue,
             order,
             handles,
             next_seq,
@@ -849,8 +838,8 @@ impl Engine {
     /// within each chunk; a concurrent producer can interleave its own
     /// submissions only at chunk boundaries.
     ///
-    /// Each full chunk is handed to the worker pool as the iteration
-    /// reaches it, **blocking if every worker deque is full**
+    /// Each full chunk is handed to the ingest queue as the iteration
+    /// reaches it, **blocking while the queue is full**
     /// (backpressure), and the partial tail chunk before the call
     /// returns: nothing stays buffered between calls, so
     /// [`Engine::drain`] covers every function a returned call
@@ -896,7 +885,7 @@ impl Engine {
 
     /// Numbers and dispatches one buffered chunk: dedup hits resolve
     /// inline (store bump, order log, progress — the fast path, just
-    /// batched), misses go to the pool.
+    /// batched), misses go to the queue.
     fn submit_chunk(&self, buf: &mut Vec<BatchEntry>, first: &mut Option<u64>, since: Instant) {
         if buf.is_empty() {
             return;
@@ -923,12 +912,12 @@ impl Engine {
                 .fetch_add(hits.len() as u64, Ordering::AcqRel);
         }
         if !misses.is_empty() {
-            self.pool
+            self.queue
                 .push(Job {
                     entries: misses,
                     submitted_at: since,
                 })
-                .unwrap_or_else(|_| unreachable!("pool closed while the engine is alive"));
+                .unwrap_or_else(|_| unreachable!("queue closed while the engine is alive"));
         }
     }
 
@@ -1053,11 +1042,11 @@ impl Engine {
     pub fn finish(mut self) -> EngineReport {
         // `finish` owns the engine, so every submission has returned:
         // the workers drain everything queued, then exit.
-        self.pool.close();
+        self.queue.close();
         for handle in self.handles.drain(..) {
             handle.join().expect("worker panicked");
         }
-        debug_assert_eq!(self.pool.queued(), 0, "workers exited with work queued");
+        debug_assert_eq!(self.queue.queued(), 0, "workers exited with work queued");
         if self.cfg.persist.is_some() {
             self.store
                 .checkpoint_all()
@@ -1142,8 +1131,7 @@ impl Engine {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            steals: self.pool.steals(),
-            parks: self.pool.parks(),
+            parks: self.queue.parks(),
             elapsed: self.started.elapsed(),
             recovered_members: self.base_seq,
             durability: self.store.durability_snapshot(),
@@ -1157,9 +1145,9 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Close the pool so detached workers terminate; `finish`
+        // Close the queue so detached workers terminate; `finish`
         // already closed it on the normal path.
-        self.pool.close();
+        self.queue.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -1241,8 +1229,7 @@ fn classify_job(
 
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    me: usize,
-    pool: &StealPool<Job>,
+    queue: &IngestQueue<Job>,
     store: &ShardedStore,
     cache: &MemoCache,
     processed: &AtomicU64,
@@ -1257,7 +1244,7 @@ fn worker_loop(
     // steady-state worker allocates nothing per chunk.
     let mut kernel = SignatureKernel::new(set);
     let mut log: Vec<(u64, u128)> = Vec::new();
-    while let Some(job) = pool.next_item(me) {
+    while let Some(job) = queue.next_item() {
         classify_job(
             job,
             &mut kernel,
@@ -1531,26 +1518,30 @@ mod tests {
 
     #[test]
     fn forced_steal_schedule_matches_classifier() {
-        // Deque capacity 1 and chunk size 1 force constant migration
-        // between deques; the partition must not notice.
+        // Eight workers and chunk size 1: consecutive functions land on
+        // different workers, which finish them in any order; the
+        // partition must not notice.
         let fns = workload(4, 9, 5, 0x57EA);
         let expected = Classifier::new(SignatureSet::all()).classify(fns.clone());
         let engine = Engine::builder()
             .config(EngineConfig {
                 workers: 8,
                 chunk_size: 1,
-                deque_capacity: 1,
-                steal_batch: 1,
                 ..EngineConfig::default()
             })
             .build()
             .unwrap();
+        // Idle workers sleep on the empty queue instead of spinning:
+        // all eight park before anything is submitted, so the chunks
+        // below must wake them.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while engine.stats().parks < 8 {
+            assert!(Instant::now() < deadline, "{}", engine.stats());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         engine.submit_batch(fns.iter().cloned());
         let report = engine.finish();
         assert_eq!(report.classification.labels(), expected.labels());
-        // The counters surfaced for observability never go backwards
-        // and are wired up (parks are guaranteed: idle workers on a
-        // drained pool must sleep, not spin).
         assert!(report.stats.parks > 0, "{}", report.stats);
     }
 

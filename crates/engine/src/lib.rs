@@ -13,15 +13,14 @@
 //! * **streams** — [`Engine::submit`] / [`Engine::submit_batch`] accept
 //!   functions while classification is in flight, and
 //!   [`Engine::snapshot`] answers queries mid-stream;
-//! * **parallelizes** — a **work-stealing** worker pool computes
+//! * **parallelizes** — worker threads compute
 //!   [`signature_key`](facepoint_core::signature_key)s concurrently
-//!   with ingestion: each worker drains its own bounded deque (LIFO)
-//!   and steals from its peers (FIFO) when it runs dry, so no global
-//!   queue lock exists and `submit` blocks only when every deque is
-//!   full (backpressure instead of unbounded buffering). Every
-//!   ingestion method takes `&self` and buffers nothing between calls,
-//!   so concurrent producers share one engine by reference with no
-//!   lock around it;
+//!   with ingestion, taking chunks from one bounded FIFO queue in
+//!   submission order; `submit` blocks only while the queue is full
+//!   (backpressure instead of unbounded buffering). Every ingestion
+//!   method takes `&self` and buffers nothing between calls, so
+//!   concurrent producers share one engine by reference with no lock
+//!   around it;
 //! * **shards** — the partition store spreads classes over `S` shards
 //!   keyed by the *high bits* of the 128-bit MSV digest (the digest is
 //!   uniform, so shards load-balance), each behind its own lock, so

@@ -71,16 +71,8 @@ pub struct EngineStats {
     /// memo cache already knew their key, so they skipped the queue
     /// round-trip entirely (0 when the cache is disabled).
     pub dedup_hits: u64,
-    /// Chunks that migrated between worker deques via work stealing. A
-    /// balanced stream on an idle machine steals rarely (producers
-    /// target the least-loaded deque); a high rate means load arrived
-    /// unevenly — or some workers run slower than others — and the pool
-    /// rebalanced it. Stealing is how the pool keeps every core busy
-    /// without a shared queue, so a nonzero value is health, not
-    /// trouble.
-    pub steals: u64,
-    /// Times a worker found every deque empty and went to sleep on the
-    /// pool's condvar (it is woken by the next push). High `parks` with
+    /// Times a worker found the ingest queue empty and went to sleep on
+    /// its condvar (it is woken by the next push). High `parks` with
     /// high throughput means ingestion, not classification, is the
     /// bottleneck; near-zero `parks` under load means the workers never
     /// starve.
@@ -227,7 +219,7 @@ impl std::fmt::Display for EngineStats {
             f,
             "{} functions -> {} classes | {} workers, {} shards \
              ({} occupied, max {}) | {:.0} fn/s | cache {:.1}% of {} \
-             | {} deduped at ingest | {} steals, {} parks",
+             | {} deduped at ingest | {} parks",
             self.functions_processed,
             self.num_classes,
             self.workers,
@@ -238,7 +230,6 @@ impl std::fmt::Display for EngineStats {
             self.cache_hit_rate() * 100.0,
             self.cache_hits + self.cache_misses,
             self.dedup_hits,
-            self.steals,
             self.parks,
         )?;
         if self.resolution == Resolution::Certified {
@@ -271,7 +262,6 @@ mod tests {
             cache_hits: 25,
             cache_misses: 75,
             dedup_hits: 10,
-            steals: 3,
             parks: 7,
             elapsed: Duration::from_secs(2),
             recovered_members: 0,
@@ -290,6 +280,10 @@ mod tests {
         assert_eq!(s.cache_hit_rate(), 0.25);
         let display = s.to_string();
         assert!(display.contains("100 functions -> 10 classes"), "{display}");
+        assert!(
+            display.contains("10 deduped at ingest | 7 parks"),
+            "{display}"
+        );
         // Digest mode stays silent about the certified tier…
         assert!(!display.contains("certified"), "{display}");
         // …a certified run reports its resolver counters.

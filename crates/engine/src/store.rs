@@ -451,13 +451,7 @@ impl ShardedStore {
         let mut shard_cells = Vec::with_capacity(shards);
         for shard_id in 0..shards {
             let rec = recover_shard(dir, shard_id)?;
-            report.classes += rec.map.len();
-            report.members += rec.map.values().map(|e| e.size as u64).sum::<u64>();
-            report.checkpoint_classes += rec.checkpoint_classes;
-            report.log_records += rec.log_records;
-            report.truncated_bytes += rec.truncated_bytes;
-            report.torn_shards += usize::from(rec.torn);
-            report.last_epoch = report.last_epoch.max(rec.last_epoch);
+            rec.add_to(&mut report);
             // Drop any torn tail, then keep appending to the same
             // segment.
             let path = log_path(dir, shard_id, rec.next_gen);
@@ -707,6 +701,20 @@ struct ShardRecovery {
     last_epoch: u64,
 }
 
+impl ShardRecovery {
+    /// Adds this shard's classes, members and replay accounting to the
+    /// store-wide `report`.
+    fn add_to(&self, report: &mut RecoveryReport) {
+        report.classes += self.map.len();
+        report.members += self.map.values().map(|e| e.size as u64).sum::<u64>();
+        report.checkpoint_classes += self.checkpoint_classes;
+        report.log_records += self.log_records;
+        report.truncated_bytes += self.truncated_bytes;
+        report.torn_shards += usize::from(self.torn);
+        report.last_epoch = report.last_epoch.max(self.last_epoch);
+    }
+}
+
 /// Reads one shard's checkpoint + tail log without modifying anything.
 fn recover_shard(dir: &Path, shard_id: usize) -> io::Result<ShardRecovery> {
     let mut rec = ShardRecovery {
@@ -865,13 +873,7 @@ pub(crate) fn recover_dir(dir: &Path) -> io::Result<RecoveredDir> {
     let mut maps = Vec::with_capacity(shards);
     for shard_id in 0..shards {
         let rec = recover_shard(dir, shard_id)?;
-        report.classes += rec.map.len();
-        report.members += rec.map.values().map(|e| e.size as u64).sum::<u64>();
-        report.checkpoint_classes += rec.checkpoint_classes;
-        report.log_records += rec.log_records;
-        report.truncated_bytes += rec.truncated_bytes;
-        report.torn_shards += usize::from(rec.torn);
-        report.last_epoch = report.last_epoch.max(rec.last_epoch);
+        rec.add_to(&mut report);
         maps.push(rec.map);
     }
     Ok((maps, set, report))

@@ -87,16 +87,14 @@ proptest! {
         prop_assert_eq!(report.classification.num_functions(), fns.len());
     }
 
-    /// Forced-steal schedules: deque capacity 1 with tiny chunks makes
-    /// every push land on a different deque and every idle worker
-    /// steal, at 1, 2 and 8 workers — the partition must be identical
-    /// to the one-shot classifier whatever the migration pattern.
+    /// Tiny chunks spread consecutive functions over 1, 2 and 8
+    /// workers, which finish them in any order — the partition must be
+    /// identical to the one-shot classifier whatever the schedule.
     #[test]
     fn stealing_pools_match_classifier_under_forced_steals(
         fns in arb_workload(),
         set in arb_set(),
         chunk in 1usize..=4,
-        steal_batch in 1usize..=4,
     ) {
         let expected = Classifier::new(set).classify(fns.clone());
         for workers in [1usize, 2, 8] {
@@ -104,8 +102,6 @@ proptest! {
                 set,
                 workers,
                 chunk_size: chunk,
-                deque_capacity: 1,
-                steal_batch,
                 ..EngineConfig::default()
             }).build().unwrap();
             engine.submit_batch(fns.clone());
@@ -113,14 +109,14 @@ proptest! {
             prop_assert_eq!(
                 got.labels(),
                 expected.labels(),
-                "{} workers, chunk {}, steal batch {}",
-                workers, chunk, steal_batch
+                "{} workers, chunk {}",
+                workers, chunk
             );
             prop_assert_eq!(got.num_classes(), expected.num_classes());
         }
     }
 
-    /// Forced steals with persistence on: the journal (appended under
+    /// Eight workers with persistence on: the journal (appended under
     /// the shard lock, whatever worker got the chunk) must still
     /// replay to exactly the partition's census after the engine is
     /// gone.
@@ -139,8 +135,6 @@ proptest! {
         let engine = Engine::builder().config(EngineConfig {
             workers: 8,
             chunk_size: chunk,
-            deque_capacity: 1,
-            steal_batch: 1,
             shards: 4,
             persist: Some(facepoint_engine::PersistConfig {
                 dir: dir.clone(),

@@ -35,9 +35,8 @@ const DIR_ENV: &str = "FACEPOINT_GAUNTLET_DIR";
 const SYNC_ENV: &str = "FACEPOINT_GAUNTLET_SYNC";
 const STREAM_ENV: &str = "GAUNTLET_STREAM";
 const ROUNDS_ENV: &str = "GAUNTLET_ROUNDS";
-/// Worker-pool width of the child (default 2). CI's steal-pool stress
-/// job sets 8 so SIGKILLs land while chunks are spread over — and
-/// stolen between — eight deques.
+/// Worker count of the child (default 2). CI's 8-worker stress job
+/// sets 8 so SIGKILLs land while eight workers insert concurrently.
 const WORKERS_ENV: &str = "GAUNTLET_WORKERS";
 /// When set, the whole gauntlet (child stream, recovery, convergence)
 /// runs at [`Resolution::Certified`]: kill points land on proved-class
@@ -82,9 +81,6 @@ fn child_cfg(dir: PathBuf, sync: SyncPolicy) -> EngineConfig {
     EngineConfig {
         workers: env_usize(WORKERS_ENV, 2),
         resolution: resolution(),
-        // Shallow deques at 8 workers: chunks spread over every deque
-        // and idle workers steal, so kill points land mid-migration.
-        deque_capacity: 2,
         chunk_size: 64,
         cache_capacity: 1 << 14, // exercise the dedup fast path's journal writes
         persist: Some(PersistConfig {

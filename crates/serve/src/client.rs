@@ -190,7 +190,9 @@ impl Client {
         let body = self.exchange(&format!("TOP {k}"))?;
         let mut lines = body.lines();
         let count: u64 = parse_field(lines.next().unwrap_or(""), "classes")?;
-        let mut out = Vec::with_capacity(count as usize);
+        // Grown from the lines received, never sized by the announced
+        // count: that comes off the wire and may be any u64.
+        let mut out = Vec::new();
         for line in lines {
             let mut fields = line.split(' ');
             let (key, size, rep) = match (fields.next(), fields.next(), fields.next()) {
@@ -414,5 +416,35 @@ mod tests {
         let bare = parse_server_info("facepoint 1 set=OIV workers=2 persistent=false").unwrap();
         assert_eq!(bare.resolution, "");
         assert!(parse_server_info("nginx 1.2").is_err());
+    }
+
+    /// A `TOP` reply announcing 2^64 − 1 classes is a malformed reply,
+    /// not an allocation of that many entries.
+    #[test]
+    fn top_count_from_the_wire_sizes_nothing() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            for body in [
+                format!("facepoint {PROTO_VERSION} set=OIV workers=1 persistent=false"),
+                format!(
+                    "classes={}\n00000000000000000000000000000001 3 3:e8",
+                    u64::MAX
+                ),
+            ] {
+                proto::read_record(&mut reader).unwrap().expect("a request");
+                proto::write_response(&mut writer, Status::Ok, &body).unwrap();
+                writer.flush().unwrap();
+            }
+        });
+        let mut client = Client::connect(addr).unwrap();
+        match client.top(1) {
+            Err(ProtoError::Malformed(msg)) => assert!(msg.contains("announced"), "{msg}"),
+            other => panic!("expected a malformed-reply error, got {other:?}"),
+        }
+        server.join().unwrap();
     }
 }

@@ -3,9 +3,9 @@
 //! One [`Engine`] serves every connection, **with no lock around it**:
 //! every engine method a request needs takes `&self`, so connection
 //! threads share the engine by reference. `SUBMIT`/`SUBMIT-BATCH` push
-//! straight into the engine's work-stealing pool, and a connection
-//! streaming a huge batch blocks only on the pool's bounded deques
-//! (backpressure, §6 of `docs/PROTOCOL.md`) while `SNAPSHOT`/`STATS`/
+//! straight into the engine's ingest queue, and a connection streaming
+//! a huge batch blocks only on that bounded queue (backpressure, §6 of
+//! `docs/PROTOCOL.md`) while `SNAPSHOT`/`STATS`/
 //! `TOP`/`CANON` from other connections run alongside it and can never
 //! be starved by a busy ingester (pinned by `tests/fairness.rs`). A
 //! `FLUSH` waiting on its fsyncs stalls only its own connection. When
@@ -661,7 +661,7 @@ const MAX_BATCH_BYTES: usize = 1 << 26;
 /// `SUBMIT-BATCH <n>`: reads the `n` announced table frames, then
 /// submits all of them atomically — a parse failure anywhere rejects
 /// the whole batch (the frames are still consumed, keeping the stream
-/// in sync; §4.5). A huge batch blocks only on pool backpressure,
+/// in sync; §4.5). A huge batch blocks only on queue backpressure,
 /// never on anything other connections need.
 fn submit_batch(shared: &Shared, args: &str, reader: &mut impl Read) -> (Status, String, Action) {
     let n: u64 = match args.parse() {

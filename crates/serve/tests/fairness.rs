@@ -3,7 +3,7 @@
 //! requests.
 //!
 //! Connections share the engine with no lock around it: the batch
-//! blocks on the work-stealing pool's bounded deques while observation
+//! blocks on the engine's bounded ingest queue while observation
 //! requests run alongside it, and their latency must stay bounded
 //! *while the batch is still in flight*.
 //!
@@ -63,14 +63,13 @@ fn big_batch_does_not_starve_observers() {
         .map(|f| format!("{}:{}", f.num_vars(), f.to_hex()))
         .collect();
 
-    // One worker and shallow deques: the batch submitter spends almost
-    // the whole busy window blocked on pool backpressure — exactly the
-    // state that used to be spent holding the engine lock.
+    // One worker: the batch submitter spends almost the whole busy
+    // window blocked on queue backpressure — exactly the state that
+    // used to be spent holding the engine lock.
     let engine = Engine::builder()
         .config(EngineConfig {
             workers: 1,
             chunk_size: 32,
-            deque_capacity: 2,
             ..EngineConfig::default()
         })
         .build()

@@ -48,7 +48,7 @@ fn stripe() -> usize {
 
 /// A monotonically increasing sum, striped across cache lines.
 ///
-/// Use for totals: functions processed, bytes read, steals. Relaxed
+/// Use for totals: functions processed, bytes read, parks. Relaxed
 /// ordering throughout — the value is a statistic, not a
 /// synchronization edge.
 #[derive(Default)]

@@ -136,7 +136,7 @@ impl Registry {
 
     /// Registers a counter-valued series sampled from `f` at snapshot
     /// time — for totals a subsystem already tracks in its own
-    /// atomics (cache hits, pool steals) that would be wasteful to
+    /// atomics (cache hits, queue parks) that would be wasteful to
     /// double-count. Replaces any previous sampler under `name`.
     ///
     /// # Panics
