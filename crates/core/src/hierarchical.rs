@@ -3,7 +3,8 @@
 //!
 //! The flat classifier computes every selected signature for every
 //! function. But signatures differ wildly in cost (OIV is a handful of
-//! XOR+popcounts; OSDV runs a Walsh transform per sensitivity class) and
+//! XOR+popcounts; OSDV counts minterm pairs per sensitivity level, with
+//! a Walsh transform for each group above its crossover) and
 //! most functions separate early: once a function sits alone in its
 //! bucket, no further signature can change anything. The hierarchical
 //! driver therefore refines in *stages*, cheapest signature first

@@ -111,6 +111,64 @@ mod tests {
         }
     }
 
+    /// SplitMix64's output mix: a fixed, dependency-free bit scrambler
+    /// for the larger pinned tables below.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Digest-mode store keys on disk are these keys, and a store's
+    /// manifest records its signature set but no key scheme, so the
+    /// whole pipeline (kernel sections, polarity choice, FNV absorb)
+    /// must stay byte-for-byte stable. The kernel ≡ reference tests
+    /// cannot see a changed absorb: both sides hash through the same
+    /// stream. The n = 3 and n = 8 tables are balanced, so their keys
+    /// take the tied dual-polarity path; n = 10 keeps `f`, and n = 0, 6
+    /// and 12 negate it.
+    #[test]
+    fn signature_key_digests_are_pinned() {
+        let balanced8 = "6fc70f6a257034175a12f8dba70a7d37d4c756d3e8e8a2c7c4b91cc0482e2d65";
+        let mut kernel = SignatureKernel::new(SignatureSet::all());
+        for (table, key) in [
+            (
+                TruthTable::one(0).unwrap(),
+                0x7de5_2574_b9be_9e5c_b28a_cbf7_f510_562c_u128,
+            ),
+            (
+                TruthTable::majority(3),
+                0x01d7_8b73_3556_c6ec_19f5_a581_4ad3_2265,
+            ),
+            (
+                TruthTable::from_hex(6, "cafe1234deadbeef").unwrap(),
+                0x3ec8_5599_6af3_43bc_41f8_9e01_a6f6_58eb,
+            ),
+            (
+                TruthTable::from_hex(8, balanced8).unwrap(),
+                0x3390_0e37_61c1_7301_a3f7_5d61_93a5_3b9d,
+            ),
+            (
+                TruthTable::from_fn(10, |m| mix(m) % 8 < 3).unwrap(),
+                0x9566_420a_5dd1_976f_b820_4f58_adc5_c821,
+            ),
+            (
+                TruthTable::from_fn(12, |m| mix(m ^ 0xC0FFEE) % 8 < 5).unwrap(),
+                0x0e05_3825_15c4_c683_92a4_b1bd_72f6_3d54,
+            ),
+        ] {
+            assert_eq!(kernel.key(&table), key, "n = {}", table.num_vars());
+            assert_eq!(
+                crate::signature_key(&table, SignatureSet::all()),
+                key,
+                "one-shot, n = {}",
+                table.num_vars()
+            );
+        }
+        assert!(TruthTable::from_hex(8, balanced8).unwrap().is_balanced());
+    }
+
     #[test]
     fn kernel_reuse_does_not_leak_state_across_functions() {
         let mut kernel = SignatureKernel::new(SignatureSet::all());

@@ -8,8 +8,14 @@
 //! cited as \[3\]); equality for any fixed ℓ is a necessary condition for
 //! NPN equivalence *up to output phase* (output negation maps each count
 //! `c` to `2^{n-ℓ} − c`).
+//!
+//! The kernel's `OCV2` pays one masked popcount per word per variable
+//! pair: it counts `c11 = |f_{x_i=1,x_j=1}|` and derives the rest from
+//! the one-cofactor counts `|f_{x_i=1}|` (computed once per variable)
+//! and `|f|`: `c10 = |f_{x_i=1}| − c11`, `c01 = |f_{x_j=1}| − c11` and
+//! `c00 = |f| − |f_{x_i=1}| − |f_{x_j=1}| + c11`.
 
-use facepoint_truth::words::var_mask_word;
+use facepoint_truth::words::{var_mask_word, MAX_VARS};
 use facepoint_truth::TruthTable;
 
 /// The 1-ary ordered cofactor vector: sorted multiset
@@ -119,20 +125,27 @@ pub(crate) fn ocv_sorted_into(f: &TruthTable, arity: usize, out: &mut Vec<u64>) 
             }
         }
         2 => {
-            // All four counts of a variable pair in a single sweep.
+            // One masked popcount per word gives c11; inclusion–exclusion
+            // over the one-cofactor counts, taken once per variable, gives
+            // the other three.
+            let total = f.count_ones();
+            let mut ones = [0u64; MAX_VARS];
+            for (var, c1) in ones[..n].iter_mut().enumerate() {
+                *c1 = f.cofactor_count(var, true);
+            }
             for i in 0..n {
                 for j in (i + 1)..n {
-                    let (mut c00, mut c01, mut c10, mut c11) = (0u64, 0u64, 0u64, 0u64);
-                    for (wi, &w) in f.words().iter().enumerate() {
-                        let mi = var_mask_word(i, wi);
-                        let mj = var_mask_word(j, wi);
-                        let w1 = w & mi;
-                        let w0 = w & !mi;
-                        c11 += (w1 & mj).count_ones() as u64;
-                        c01 += (w0 & mj).count_ones() as u64;
-                        c10 += (w1 & !mj).count_ones() as u64;
-                        c00 += (w0 & !mj).count_ones() as u64;
-                    }
+                    let c11: u64 = f
+                        .words()
+                        .iter()
+                        .enumerate()
+                        .map(|(wi, &w)| {
+                            (w & var_mask_word(i, wi) & var_mask_word(j, wi)).count_ones() as u64
+                        })
+                        .sum();
+                    let c10 = ones[i] - c11;
+                    let c01 = ones[j] - c11;
+                    let c00 = total + c11 - ones[i] - ones[j];
                     out.extend([c00, c10, c01, c11]);
                 }
             }

@@ -7,14 +7,16 @@
 //! `OSDV1`/`OSDV0` restrict the pairs to 1-/0-minterms.
 //!
 //! Each sensitivity group's pair histogram is counted one of two ways,
-//! chosen by the group's population `p`: small groups enumerate their
-//! pairs and histogram `popcount(X ⊕ Y)` (`O(p²)`), populous groups use
-//! a Walsh–Hadamard spectral tail (`O(n·2^n)` whatever `p` is). Two
-//! paths apply that rule, each with its own tail:
+//! chosen by the group's population `p`: a group with `p² < n·2^n`
+//! ([`crossover`]) enumerates its pairs and histograms `popcount(X ⊕ Y)`
+//! (`O(p²)`), a populous one uses a Walsh–Hadamard spectral tail
+//! (`O(n·2^n)` whatever `p` is). Two paths apply that rule, each with
+//! its own counters:
 //!
 //! * **the kernel's fused sweep** (`osdv_point_sections_into`, behind
-//!   [`crate::SigKernel`]) goes spectral once `p² ≥ n·2^n / 2`, with a
-//!   **single-transform, weight-binned** tail: with `W = WHT(a)` and the
+//!   [`crate::SigKernel`]) counts pairs with a byte-table popcount into
+//!   four `u32` sub-histograms, and its spectral tail is a
+//!   **single-transform, weight-binned** one: with `W = WHT(a)` and the
 //!   per-weight energies `E_w = Σ_{|s|=w} W[s]²`, the distance
 //!   histogram is `δ_j = (Σ_w K_j(w)·E_w) / 2^{n+1}` where `K_j` are the
 //!   binary Krawtchouk polynomials. Because the two polarity groups of
@@ -22,32 +24,38 @@
 //!   `S` is shared: `WHT(g0) = S − WHT(g1)`, one subtraction inside the
 //!   energy pass instead of a second butterfly cascade;
 //! * **the reference path** ([`osdv`], [`osdv0`], [`osdv1`] and
-//!   [`crate::msv_reference`]) goes spectral once `p² ≥ n·2^n`, with the
-//!   classic two-transform XOR autocorrelation (`WHT(WHT(a)²)/2^n`,
-//!   then bin the `2^n` differences by popcount). It is the independent
-//!   oracle the kernel is differential-tested against and the baseline
-//!   of its benchmarked speedup.
+//!   [`crate::msv_reference`]) counts pairs with `count_ones()` and
+//!   uses the classic two-transform XOR autocorrelation
+//!   (`WHT(WHT(a)²)/2^n`, then bin the `2^n` differences by popcount).
+//!   It is the independent oracle the kernel is differential-tested
+//!   against and the baseline of its benchmarked speedup.
 
 use crate::sensitivity::SensitivityProfile;
 use crate::spectral::{wht_in_place, xor_autocorrelation_into};
-use facepoint_truth::words::WORD_VARS;
+use facepoint_truth::words::{MAX_VARS, WORD_VARS};
 use facepoint_truth::TruthTable;
 use std::fmt;
 
-/// Crossover of the reference path's classic autocorrelation tail: a
-/// group of population `p` is counted spectrally when `p² ≥ n·2^n`, the
-/// autocorrelation's operation count, and pairwise otherwise.
-const fn classic_crossover(num_vars: usize) -> u64 {
+/// Population crossover of both paths: a group of population `p` is
+/// counted spectrally when `p² ≥ n·2^n`, the transform's operation
+/// count, and pairwise otherwise.
+///
+/// Tuned for the kernel on `trajectory`'s balanced tables. Kernel keys
+/// per second with the crossover at `c·n·2^n`, medians of 5
+/// interleaved runs on a 2-vCPU VM (runs spread by up to ±30%):
+///
+/// | c   | n = 6 | 7    | 8     | 9     | 10    | 11    |
+/// |-----|-------|------|-------|-------|-------|-------|
+/// | 1/4 | 195k  | 118k | 55.0k | 28.7k | 12.5k | 5.48k |
+/// | 1/2 | 198k  | 116k | 58.6k | 31.6k | 11.9k | 5.29k |
+/// | 1   | 213k  | 131k | 70.3k | 32.9k | 13.0k | 6.29k |
+/// | 2   | 209k  | 131k | 65.2k | 28.0k | 12.5k | 5.67k |
+/// | 4   | 208k  | 126k | 72.0k | 29.5k | 9.50k | 3.24k |
+///
+/// `c = 1` is best or within noise of best at every n, so both paths
+/// share it. Below the crossover the pair count is under `2^19`.
+const fn crossover(num_vars: usize) -> u64 {
     (num_vars as u64) << num_vars
-}
-
-/// Crossover of the kernel's weight-binned tail: half the classic one.
-/// The tail runs one butterfly cascade where the autocorrelation runs
-/// two plus a squaring pass, so it breaks even against pairwise
-/// counting at roughly half the population product (tuned on the
-/// `trajectory` workload and pinned by a unit test).
-const fn krawtchouk_crossover(num_vars: usize) -> u64 {
-    classic_crossover(num_vars) / 2
 }
 
 /// Reusable scratch buffers of the kernel's fused point sweep — owning
@@ -61,8 +69,9 @@ pub(crate) struct OsdvScratch {
     group0: Vec<u64>,
     /// Bit-packed indicator of the level's 1-polarity group.
     group1: Vec<u64>,
-    /// Expanded member list for pairwise counting.
-    members: Vec<u64>,
+    /// Expanded member list for pairwise counting (minterm indices
+    /// below `2^MAX_VARS = 2^16`).
+    members: Vec<u16>,
     /// Workspace of the single-transform weight-binned spectral tail.
     tail: SpectralTail,
 }
@@ -84,6 +93,9 @@ struct SpectralTail {
     kraw: Vec<i64>,
     /// Arity the cached table was built for.
     kraw_n: Option<usize>,
+    /// Hamming weight of every spectral index below the largest `2^n`
+    /// seen (it does not depend on `n`, so it only ever grows).
+    weights: Vec<u8>,
 }
 
 /// Which minterms participate in the pair counting.
@@ -174,7 +186,7 @@ impl fmt::Display for Osdv {
 /// The reference path: one OSDV variant from an already-computed
 /// sensitivity profile (the reference MSV counts `OSDV0` and `OSDV1`
 /// from one profile, as in Algorithm 1 line 5). Groups count pairwise
-/// below [`classic_crossover`] and by XOR autocorrelation above it.
+/// below [`crossover`] and by XOR autocorrelation above it.
 pub(crate) fn osdv_from_profile(
     f: &TruthTable,
     profile: &SensitivityProfile,
@@ -191,7 +203,7 @@ pub(crate) fn osdv_from_profile(
             continue;
         }
         let row = &mut rows[s as usize * n..(s as usize + 1) * n];
-        if pop * pop < classic_crossover(n) {
+        if pop * pop < crossover(n) {
             count_pairs_naive(&group, row, &mut members);
         } else {
             count_pairs_wht(&group, n, row, &mut wht);
@@ -287,7 +299,7 @@ pub(crate) fn osdv_point_sections_into(
 
 /// Distance-histograms the two polarity groups of one sensitivity level
 /// into `row0`/`row1` — the per-group tail choice of the fused sweep:
-/// pairwise below [`krawtchouk_crossover`], spectral above it.
+/// pairwise below [`crossover`], spectral above it.
 ///
 /// When both groups clear the crossover they share one
 /// transform: `S = WHT(g0 ∪ g1)` and `B = WHT(g1)` are computed, and
@@ -301,12 +313,12 @@ fn count_level_pairs(
     pop0: u64,
     g1: &[u64],
     pop1: u64,
-    members: &mut Vec<u64>,
+    members: &mut Vec<u16>,
     tail: &mut SpectralTail,
     row0: &mut [u64],
     row1: &mut [u64],
 ) {
-    let spectral = |pop: u64| pop * pop >= krawtchouk_crossover(num_vars);
+    let spectral = |pop: u64| pop * pop >= crossover(num_vars);
     let s0 = pop0 >= 2 && spectral(pop0);
     let s1 = pop1 >= 2 && spectral(pop1);
     if s0 && s1 {
@@ -317,33 +329,83 @@ fn count_level_pairs(
         if s0 {
             count_pairs_spectral(g0, num_vars, tail, row0);
         } else {
-            count_pairs_naive(g0, row0, members);
+            count_pairs_table(g0, row0, members);
         }
     }
     if pop1 >= 2 {
         if s1 {
             count_pairs_spectral(g1, num_vars, tail, row1);
         } else {
-            count_pairs_naive(g1, row1, members);
+            count_pairs_table(g1, row1, members);
         }
     }
 }
 
-/// ±0/1-encodes the first `len` bits of a packed indicator into `out`.
-fn encode_bits_into(words: &[u64], len: usize, out: &mut Vec<i64>) {
-    out.clear();
-    out.resize(len, 0);
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = ((words[i >> 6] >> (i & 63)) & 1) as i64;
+// Members are `u16` minterm indices, so a member XOR is two bytes.
+const _: () = assert!(MAX_VARS <= 16, "pair distances are two byte lookups");
+
+/// Popcount of every byte: a baseline x86-64 build has no popcount
+/// instruction, and `count_ones()` there is a dozen-instruction
+/// bit-twiddle.
+const BYTE_POPCOUNT: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u8).count_ones() as u8;
+        b += 1;
+    }
+    table
+};
+
+/// Independent sub-histograms of the kernel's pair counter: pair `k`
+/// of a run increments lane `k % LANES`, so back-to-back pairs at the
+/// same distance do not serialize on one counter.
+const LANES: usize = 4;
+
+/// The kernel's pairwise counter: like [`count_pairs_naive`], but each
+/// distance is two loads from [`BYTE_POPCOUNT`] and increments go into
+/// [`LANES`] `u32` sub-histograms, summed into `row` once. A group only
+/// gets here below [`crossover`], so `p² < n·2^n ≤ 2^20`:
+/// fewer than `2^19` pairs, far inside `u32`.
+fn count_pairs_table(group: &[u64], row: &mut [u64], members: &mut Vec<u16>) {
+    members.clear();
+    for (w, &word) in group.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            members.push(((w << WORD_VARS) | bits.trailing_zeros() as usize) as u16);
+            bits &= bits - 1;
+        }
+    }
+    let distance =
+        |d: u16| (BYTE_POPCOUNT[(d & 0xff) as usize] + BYTE_POPCOUNT[(d >> 8) as usize]) as usize;
+    let mut hist = [[0u32; MAX_VARS + 1]; LANES];
+    for (a, &x) in members.iter().enumerate() {
+        let mut runs = members[a + 1..].chunks_exact(LANES);
+        for run in &mut runs {
+            for (lane, &y) in hist.iter_mut().zip(run) {
+                lane[distance(x ^ y)] += 1;
+            }
+        }
+        for &y in runs.remainder() {
+            hist[0][distance(x ^ y)] += 1;
+        }
+    }
+    for lane in &hist {
+        for (r, &c) in row.iter_mut().zip(&lane[1..]) {
+            *r += c as u64;
+        }
     }
 }
 
-/// Encodes the union of two disjoint packed indicators into `out`.
-fn encode_union_into(a: &[u64], b: &[u64], len: usize, out: &mut Vec<i64>) {
+/// ±0/1-encodes the first `len` bits of a stream of packed indicator
+/// words into `out`, a word at a time.
+fn encode_bits_into(words: impl Iterator<Item = u64>, len: usize, out: &mut Vec<i64>) {
     out.clear();
     out.resize(len, 0);
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = (((a[i >> 6] | b[i >> 6]) >> (i & 63)) & 1) as i64;
+    for (slots, w) in out.chunks_mut(64).zip(words) {
+        for (b, slot) in slots.iter_mut().enumerate() {
+            *slot = ((w >> b) & 1) as i64;
+        }
     }
 }
 
@@ -352,6 +414,12 @@ fn encode_union_into(a: &[u64], b: &[u64], len: usize, out: &mut Vec<i64>) {
 /// `(j+1)·K_{j+1}(w) = (n−2w)·K_j(w) − (n−j+1)·K_{j−1}(w)` (exact
 /// integer division).
 fn ensure_krawtchouk(tail: &mut SpectralTail, n: usize) {
+    let len = 1usize << n;
+    if tail.weights.len() < len {
+        let from = tail.weights.len();
+        tail.weights
+            .extend((from..len).map(|s| s.count_ones() as u8));
+    }
     if tail.kraw_n == Some(n) {
         return;
     }
@@ -400,19 +468,20 @@ fn krawtchouk_rows(kraw: &[i64], num_vars: usize, energy: &[i64], row: &mut [u64
 fn count_pairs_spectral(group: &[u64], num_vars: usize, tail: &mut SpectralTail, row: &mut [u64]) {
     let len = 1usize << num_vars;
     ensure_krawtchouk(tail, num_vars);
-    encode_bits_into(group, len, &mut tail.buf);
+    encode_bits_into(group.iter().copied(), len, &mut tail.buf);
     wht_in_place(&mut tail.buf);
     tail.e0.clear();
     tail.e0.resize(num_vars + 1, 0);
-    for (s, &w) in tail.buf.iter().enumerate() {
-        tail.e0[(s as u32).count_ones() as usize] += w * w;
+    for (&weight, &w) in tail.weights.iter().zip(&tail.buf) {
+        tail.e0[weight as usize] += w * w;
     }
     krawtchouk_rows(&tail.kraw, num_vars, &tail.e0, row);
 }
 
 /// Two-group spectral pair count sharing the level-indicator transform:
 /// `S = WHT(g0 ∪ g1)`, `B = WHT(g1)`, `A = S − B` inside the fused
-/// energy pass (one popcount per spectral position serves both groups).
+/// energy pass (one cached weight per spectral position serves both
+/// groups).
 fn level_pairs_spectral(
     g0: &[u64],
     g1: &[u64],
@@ -423,16 +492,18 @@ fn level_pairs_spectral(
 ) {
     let len = 1usize << num_vars;
     ensure_krawtchouk(tail, num_vars);
-    encode_union_into(g0, g1, len, &mut tail.buf_level);
+    let union = g0.iter().zip(g1).map(|(&a, &b)| a | b);
+    encode_bits_into(union, len, &mut tail.buf_level);
     wht_in_place(&mut tail.buf_level);
-    encode_bits_into(g1, len, &mut tail.buf);
+    encode_bits_into(g1.iter().copied(), len, &mut tail.buf);
     wht_in_place(&mut tail.buf);
     tail.e0.clear();
     tail.e0.resize(num_vars + 1, 0);
     tail.e1.clear();
     tail.e1.resize(num_vars + 1, 0);
-    for (s, (&sv, &b)) in tail.buf_level.iter().zip(&tail.buf).enumerate() {
-        let w = (s as u32).count_ones() as usize;
+    let spectra = tail.buf_level.iter().zip(&tail.buf);
+    for (&weight, (&sv, &b)) in tail.weights.iter().zip(spectra) {
+        let w = weight as usize;
         let a = sv - b;
         tail.e0[w] += a * a;
         tail.e1[w] += b * b;
@@ -488,20 +559,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The crossovers are recorded, tested constants: the kernel's
-    /// weight-binned tail switches on at half the classic `n·2^n` cost
-    /// model.
+    /// The crossover is a recorded, tested constant: both paths switch
+    /// to their spectral tail at the `n·2^n` cost model.
     #[test]
     fn crossover_constants_are_pinned() {
-        for (n, classic) in [
+        for (n, pinned) in [
             (1usize, 2u64),
             (4, 64),
             (8, 2048),
             (10, 10240),
             (16, 1 << 20),
         ] {
-            assert_eq!(classic_crossover(n), classic, "classic, n = {n}");
-            assert_eq!(krawtchouk_crossover(n), classic / 2, "krawtchouk, n = {n}");
+            assert_eq!(crossover(n), pinned, "n = {n}");
         }
     }
 
@@ -570,17 +639,20 @@ mod tests {
         }
     }
 
-    /// All three pair counters — pairwise, classic autocorrelation and
-    /// the weight-binned tail — fill the same OSDV under every minterm
-    /// filter, whatever each level's population, and the reference path,
-    /// which picks one counter per group, matches them.
+    /// All four pair counters — pairwise, the kernel's table-popcount
+    /// pairwise, classic autocorrelation and the weight-binned tail —
+    /// fill the same OSDV under every minterm filter, whatever each
+    /// level's population, and the reference path, which picks one
+    /// counter per group, matches them.
     #[test]
     fn engines_agree() {
         let mut rng = StdRng::seed_from_u64(53);
         let mut tail = SpectralTail::default();
         let (mut group, mut members, mut wht) = (Vec::new(), Vec::new(), Vec::new());
-        for n in 1..=8usize {
-            for _ in 0..4 {
+        let mut members16 = Vec::new();
+        for n in 1..=10usize {
+            let count = if n <= 8 { 4 } else { 2 };
+            for _ in 0..count {
                 let f = TruthTable::random(n, &mut rng).unwrap();
                 let prof = SensitivityProfile::compute(&f);
                 for filter in [
@@ -589,12 +661,14 @@ mod tests {
                     MintermFilter::Ones,
                 ] {
                     let mut pairwise = vec![0u64; (n + 1) * n];
+                    let mut table = pairwise.clone();
                     let mut classic = pairwise.clone();
                     let mut weighted = pairwise.clone();
                     for s in 0..=n {
                         level_group_into(&f, &prof, s as u32, filter, &mut group);
                         let row = s * n..(s + 1) * n;
                         count_pairs_naive(&group, &mut pairwise[row.clone()], &mut members);
+                        count_pairs_table(&group, &mut table[row.clone()], &mut members16);
                         count_pairs_wht(&group, n, &mut classic[row.clone()], &mut wht);
                         count_pairs_spectral(&group, n, &mut tail, &mut weighted[row]);
                     }
@@ -603,6 +677,7 @@ mod tests {
                         pairwise, reference,
                         "pairwise, n = {n}, {filter:?}, f = {f}"
                     );
+                    assert_eq!(table, reference, "table, n = {n}, {filter:?}, f = {f}");
                     assert_eq!(classic, reference, "classic, n = {n}, {filter:?}, f = {f}");
                     assert_eq!(
                         weighted, reference,
